@@ -1,0 +1,130 @@
+"""Golden pins: exact output bytes of small, fixed runs.
+
+Each case is pinned by the SHA-256 of what it writes, so a refactor of the
+engine, the posterior kernel, the Monte Carlo reducer or the CLI must
+reproduce the outputs bit for bit.  A change that alters results on purpose
+re-generates the digests with ``python tests/test_golden.py`` and says why in
+CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from noisysearch.channel import AffineNoise
+from noisysearch.cli import main
+from noisysearch.posterior import PosteriorPartition
+from noisysearch.sim import (
+    FixedLength,
+    SearchConfig,
+    VariableLength,
+    episode_final_posterior,
+    run_episode,
+    trial_rng,
+)
+from noisysearch.strategies import StrategyKind
+
+AFFINE = ["--noise", "affine:0.1:0.5"]
+MC = ["--trials", "40", "--seed", "7"]
+
+# name -> (argv without --out, extra output flag or None)
+CLI_CASES = {
+    "simulate-median-vl": (["simulate", "--strategy", "median", "--L", "8", *AFFINE,
+                            "--vl", "0.01", *MC], None),
+    "simulate-sort-vl": (["simulate", "--strategy", "sort", "--L", "6", *AFFINE,
+                          "--vl", "0.01", *MC], None),
+    "simulate-dya-vl": (["simulate", "--strategy", "dya", "--L", "8", *AFFINE,
+                         "--vl", "0.01", *MC], None),
+    "simulate-hie-vl-w2": (["simulate", "--strategy", "hie", "--L", "8", *AFFINE,
+                            "--vl", "0.01", *MC, "--workers", "2"], None),
+    "simulate-dya-fl": (["simulate", "--strategy", "dya", "--L", "8", *AFFINE,
+                         "--fl", "12", *MC], None),
+    "simulate-median-fl-constant-json": (["simulate", "--strategy", "median", "--L", "6",
+                                          "--noise", "constant:0.2", "--fl", "10", *MC,
+                                          "--format", "json"], None),
+    "sweep-dya-w2": (["sweep", "--strategy", "dya", "--L", "7", *AFFINE, "--n", "5:30:5",
+                      "--trials", "60", "--seed", "3", "--workers", "2"], None),
+    "dump-partition-hie": (["simulate", "--strategy", "hie", "--L", "8", *AFFINE,
+                            "--vl", "0.001", "--trials", "5", "--seed", "11"],
+                           "--dump-partition"),
+    "bounds": (["bounds", "--L", "12", *AFFINE, "--vl", "0.001"], None),
+    "frontier": (["frontier", *AFFINE], None),
+}
+
+GOLDEN_CLI = {
+    "simulate-median-vl": "a1fb9f9097a36c69b45756c3093ac816c77a6a9fb921bcac5a90465c2e044847",
+    "simulate-sort-vl": "c54380106ceaa01eb1108a4c32787f66e2183f9c3cb012b15c30cde0aa4a56e8",
+    "simulate-dya-vl": "c67dc53abd0a833aaf18d8e948d0edd9b3f215f03a4e6ee79181e0b0f39db37b",
+    "simulate-hie-vl-w2": "215e75b418037ca50c259cbbfb3761edfb2f5027696e9d0963e7a41c6a02d6d4",
+    "simulate-dya-fl": "62ecddc7d08bfa23fda2a562bca4ef95c1cc31c7e502f3ac79bb1ebddf357c84",
+    "simulate-median-fl-constant-json": "83af41559c68b84eea552240827f9234fe247d47dbd058ceb10f2e2e1b767355",
+    "sweep-dya-w2": "a8c5177f2cfa7cdf0a6512fd1e50c7021e62ea0d495f032009720ae8a254dd9e",
+    "dump-partition-hie": "30b0fb592ef9c2fa228c836605eea615a113b889f92fee71a2449aab7fb21b93",
+    "bounds": "e6bba50107009d446232b24b5b8de68a538e6c4ccdefca8ed3bf621ad44ed840",
+    "frontier": "29794db2469586fcea4584234f88f181a4ea6fb2b59da704938dcba94b265532",
+}
+
+GOLDEN_EPISODES = {
+    "median": "c69a5125a9e66883b9bfeffe16b5fcbfb6619c80830d02adeb3b595937bc0096",
+    "sort": "59a80b4a8f39e57c914feb008fba0499072ca7e71150cf05927950ae9cf93812",
+    "dya": "6a5395b84ea2e7ca52aae0af77500c9726aacd00833603c96c17d8f590edd3a8",
+    "hie": "6100438f48cfcf16df982edc325bacf47278692a638e91ddbf970ac32def2f10",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_digest(name: str, tmp_path) -> str:
+    """Digest of the file the case writes: the --dump-partition CSV if the
+    case names that flag, else --out."""
+    argv, extra = CLI_CASES[name]
+    out = tmp_path / f"{name}.out"
+    argv = argv + ["--out", str(out)]
+    if extra is not None:
+        dump = tmp_path / f"{name}.dump"
+        argv += [extra, str(dump)]
+        out = dump
+    assert main(argv) == 0
+    return sha256(out.read_bytes())
+
+
+def episode_digest(kind: StrategyKind) -> str:
+    """Digest of traced episodes under both stopping rules, checkpoint reads
+    and the replayed final posteriors."""
+    lines = []
+    profile = AffineNoise(0.1, 0.5)
+    for stopping, cps in ((VariableLength(1e-3), None), (FixedLength(25), (5, 10, 25))):
+        cfg = SearchConfig(L=7, strategy=kind, profile=profile, stopping=stopping, seed=5)
+        for i in range(4):
+            rec = run_episode(cfg, trial_rng(cfg.seed, i), trace=True, checkpoint_steps=cps)
+            lines.append(repr(rec))
+        for i in range(2):
+            post = episode_final_posterior(cfg, i)
+            if isinstance(post, PosteriorPartition):
+                lines.append(repr(post.intervals))
+            else:
+                lines.append(repr(post.mass.tolist()))
+    return sha256("\n".join(lines).encode())
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_is_pinned(name, tmp_path):
+    assert cli_digest(name, tmp_path) == GOLDEN_CLI[name]
+
+
+@pytest.mark.parametrize("kind", list(StrategyKind), ids=lambda k: k.value)
+def test_episodes_are_pinned(kind):
+    assert episode_digest(kind) == GOLDEN_EPISODES[kind.value]
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CLI_CASES:
+            print(f'    "{name}": "{cli_digest(name, Path(tmp))}",')
+    for kind in StrategyKind:
+        print(f'    "{kind.value}": "{episode_digest(kind)}",')
