@@ -17,18 +17,20 @@ different ``--workers`` values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from .channel import AffineNoise, ConstantNoise, NoiseProfile
 from .errors import NoisySearchError
 from .posterior import PosteriorPartition
 from .sim import (
+    STEP_CAP,
     FixedLength,
     MonteCarloSummary,
     SearchConfig,
@@ -89,13 +91,16 @@ def parse_noise(spec: str) -> NoiseProfile:
 
 
 def parse_n_values(spec: str) -> list[int]:
-    """``lo:hi:step`` (inclusive range), comma list, or a single integer."""
+    """``lo:hi:step`` (inclusive range), comma list, or a single integer, all in 1..STEP_CAP."""
     if ":" in spec:
         lo, hi, step = (int(x) for x in spec.split(":"))
-        if step < 1 or hi < lo:
-            raise ValueError(f"bad range {spec!r}")
+        if step < 1 or not (1 <= lo <= hi <= STEP_CAP):
+            raise ValueError(f"bad range {spec!r}: need STEP >= 1, 1 <= LO <= HI <= {STEP_CAP}")
         return list(range(lo, hi + 1, step))
-    return [int(x) for x in spec.split(",")]
+    values = [int(x) for x in spec.split(",")]
+    if not all(1 <= v <= STEP_CAP for v in values):
+        raise ValueError(f"budgets must be in 1..{STEP_CAP}, got {spec!r}")
+    return values
 
 
 def _default_workers() -> int:
@@ -108,7 +113,7 @@ def _default_workers() -> int:
     return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="noisysearch",
         description="Sequential target search under size-dependent measurement noise.",
@@ -151,13 +156,13 @@ def _build_parser() -> argparse.ArgumentParser:
     fro = sub.add_parser("frontier", help="achievable rate-reliability segments")
     add_common(fro, False, None)
 
-    return parser
+    return parser, sub.choices
 
 
 def parse_args(argv: Sequence[str]) -> RunManifest:
     """Parse and validate argv into a manifest; config-file values fill any
     flag not given explicitly."""
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     ns = parser.parse_args(list(argv))
     values = vars(ns)
 
@@ -170,11 +175,20 @@ def parse_args(argv: Sequence[str]) -> RunManifest:
             parser.error(f"cannot read config file {config_path!r}: {exc}")
         if not isinstance(overrides, dict):
             parser.error(f"config file {config_path!r} must hold a JSON object")
+        actions = {a.dest: a for a in subparsers[ns.subcommand]._actions}
         for key, val in overrides.items():
-            if key not in values:
+            if key not in values or key not in actions:
                 parser.error(f"config file key {key!r} is not a flag of {ns.subcommand}")
+            # a value must already have the flag's type: "12" is not an int
+            typ = actions[key].type or str
+            allowed = (int, float) if typ is float else typ
+            choices = actions[key].choices
+            if isinstance(val, bool) or not isinstance(val, allowed) or (
+                choices is not None and val not in choices
+            ):
+                parser.error(f"config file value {key!r}: {val!r} is not valid for --{key}")
             if values[key] is None:
-                values[key] = val
+                values[key] = typ(val)
 
     sub = values["subcommand"]
     defaults = {"trials": 1000, "seed": 0, "workers": _default_workers(), "format": "csv"}
@@ -191,9 +205,11 @@ def parse_args(argv: Sequence[str]) -> RunManifest:
     require("noise")
     require("out")
     try:
-        parse_noise(values["noise"])
+        a, b = _noise_columns(parse_noise(values["noise"]))
     except ValueError as exc:
         parser.error(str(exc))
+    if not (a + 0.5 * b < 0.5):
+        parser.error(f"noise {values['noise']!r} is uninformative: p(1/2) must be < 0.5")
 
     if sub in ("simulate", "sweep", "bounds"):
         require("L")
@@ -208,8 +224,10 @@ def parse_args(argv: Sequence[str]) -> RunManifest:
     if sub == "simulate":
         if (values["fl"] is None) == (values["vl"] is None):
             parser.error("simulate requires exactly one of --fl or --vl")
-        if values["fl"] is not None and values["fl"] < 1:
-            parser.error("--fl must be >= 1")
+        if values["fl"] is not None and not (1 <= values["fl"] <= STEP_CAP):
+            parser.error(f"--fl must be in 1..{STEP_CAP}, got {values['fl']}")
+        if values["dump_partition"] is not None and values["strategy"] == "sort":
+            parser.error("--dump-partition needs a connected-geometry strategy")
     if sub == "sweep":
         require("n_spec")
         try:
@@ -236,18 +254,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: str, fmt: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_rows(fh: TextIO, fmt: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     if fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        fh.write(json.dumps(payload, indent=2) + "\n")
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
 
 
 _SIM_HEADER = (
@@ -282,83 +297,91 @@ def _print_summary(summary: MonteCarloSummary) -> None:
     )
 
 
+def _run_manifest(manifest: RunManifest, out: TextIO, dump: Optional[TextIO]) -> None:
+    profile = parse_noise(manifest.noise)
+    if manifest.subcommand == "simulate":
+        stopping = (
+            FixedLength(manifest.fl) if manifest.fl is not None
+            else VariableLength(manifest.vl)
+        )
+        config = SearchConfig(
+            L=manifest.L,
+            strategy=StrategyKind(manifest.strategy),
+            profile=profile,
+            stopping=stopping,
+            seed=manifest.seed,
+        )
+        summary = run_monte_carlo(config, manifest.trials, workers=manifest.workers)
+        kind = "fl" if manifest.fl is not None else "vl"
+        param = manifest.fl if manifest.fl is not None else manifest.vl
+        rows = [_summary_row(manifest, profile, kind, param, summary)]
+        _write_rows(out, manifest.format, _SIM_HEADER, rows)
+        if manifest.dump_partition is not None:
+            post = episode_final_posterior(config)
+            if not isinstance(post, PosteriorPartition):
+                raise NoisySearchError(
+                    "--dump-partition needs a connected-geometry strategy"
+                )
+            _write_rows(dump, "csv", ("lo", "hi", "mass"), post.intervals)
+        _print_summary(summary)
+    elif manifest.subcommand == "sweep":
+        config = SearchConfig(
+            L=manifest.L,
+            strategy=StrategyKind(manifest.strategy),
+            profile=profile,
+            stopping=FixedLength(max(parse_n_values(manifest.n_spec))),
+            seed=manifest.seed,
+        )
+        results = sweep_error_vs_queries(
+            config, parse_n_values(manifest.n_spec), manifest.trials,
+            workers=manifest.workers,
+        )
+        rows = [
+            _summary_row(manifest, profile, "fl", n, summary)
+            for n, summary in results
+        ]
+        _write_rows(out, manifest.format, _SIM_HEADER, rows)
+        print(f"wrote {len(rows)} budgets; at n={results[-1][0]}: ", end="")
+        _print_summary(results[-1][1])
+    elif manifest.subcommand == "bounds":
+        names = [manifest.strategy] if manifest.strategy else list(_BOUND_STRATEGY_NAMES)
+        delta = 2.0 ** -manifest.L
+        header = (
+            "strategy", "delta", "epsilon", "alpha", "K", "rate_term",
+            "reliability_term", "residual", "tau_upper",
+        )
+        rows = []
+        for name in names:
+            rep = tau_upper_bound(
+                StrategyKind(name), profile, delta, manifest.vl, manifest.alpha
+            )
+            rows.append((
+                name, rep.delta, rep.epsilon, rep.alpha, rep.constant,
+                rep.rate_term, rep.reliability_term, rep.residual, rep.tau_upper,
+            ))
+        _write_rows(out, manifest.format, header, rows)
+        print(f"wrote {len(rows)} bound reports to {manifest.out}")
+    elif manifest.subcommand == "frontier":
+        rows = []
+        for cls in FrontierClass:
+            for r, e in rate_reliability_frontier(profile, cls):
+                rows.append((cls.value, r, e))
+        _write_rows(out, manifest.format, ("class", "R", "E"), rows)
+        print(f"wrote {len(rows)} frontier points to {manifest.out}")
+    else:
+        raise NoisySearchError(f"unknown subcommand {manifest.subcommand!r}")
+
+
 def execute(manifest: RunManifest) -> int:
     """Run the manifest; returns the process exit status."""
     try:
-        profile = parse_noise(manifest.noise)
-        if manifest.subcommand == "simulate":
-            stopping = (
-                FixedLength(manifest.fl) if manifest.fl is not None
-                else VariableLength(manifest.vl)
-            )
-            config = SearchConfig(
-                L=manifest.L,
-                strategy=StrategyKind(manifest.strategy),
-                profile=profile,
-                stopping=stopping,
-                seed=manifest.seed,
-            )
-            summary = run_monte_carlo(config, manifest.trials, workers=manifest.workers)
-            kind = "fl" if manifest.fl is not None else "vl"
-            param = manifest.fl if manifest.fl is not None else manifest.vl
-            rows = [_summary_row(manifest, profile, kind, param, summary)]
-            _write_rows(manifest.out, manifest.format, _SIM_HEADER, rows)
-            if manifest.dump_partition is not None:
-                post = episode_final_posterior(config)
-                if not isinstance(post, PosteriorPartition):
-                    raise NoisySearchError(
-                        "--dump-partition needs a connected-geometry strategy"
-                    )
-                _write_rows(
-                    manifest.dump_partition, "csv", ("lo", "hi", "mass"), post.intervals
-                )
-            _print_summary(summary)
-        elif manifest.subcommand == "sweep":
-            config = SearchConfig(
-                L=manifest.L,
-                strategy=StrategyKind(manifest.strategy),
-                profile=profile,
-                stopping=FixedLength(max(parse_n_values(manifest.n_spec))),
-                seed=manifest.seed,
-            )
-            results = sweep_error_vs_queries(
-                config, parse_n_values(manifest.n_spec), manifest.trials,
-                workers=manifest.workers,
-            )
-            rows = [
-                _summary_row(manifest, profile, "fl", n, summary)
-                for n, summary in results
-            ]
-            _write_rows(manifest.out, manifest.format, _SIM_HEADER, rows)
-            print(f"wrote {len(rows)} budgets; at n={results[-1][0]}: ", end="")
-            _print_summary(results[-1][1])
-        elif manifest.subcommand == "bounds":
-            names = [manifest.strategy] if manifest.strategy else list(_BOUND_STRATEGY_NAMES)
-            delta = 2.0 ** -manifest.L
-            header = (
-                "strategy", "delta", "epsilon", "alpha", "K", "rate_term",
-                "reliability_term", "residual", "tau_upper",
-            )
-            rows = []
-            for name in names:
-                rep = tau_upper_bound(
-                    StrategyKind(name), profile, delta, manifest.vl, manifest.alpha
-                )
-                rows.append((
-                    name, rep.delta, rep.epsilon, rep.alpha, rep.constant,
-                    rep.rate_term, rep.reliability_term, rep.residual, rep.tau_upper,
-                ))
-            _write_rows(manifest.out, manifest.format, header, rows)
-            print(f"wrote {len(rows)} bound reports to {manifest.out}")
-        elif manifest.subcommand == "frontier":
-            rows = []
-            for cls in FrontierClass:
-                for r, e in rate_reliability_frontier(profile, cls):
-                    rows.append((cls.value, r, e))
-            _write_rows(manifest.out, manifest.format, ("class", "R", "E"), rows)
-            print(f"wrote {len(rows)} frontier points to {manifest.out}")
-        else:
-            raise NoisySearchError(f"unknown subcommand {manifest.subcommand!r}")
+        # opened before any computation, so an unwritable path costs no run
+        with open(manifest.out, "w", encoding="utf-8", newline="") as out, (
+            open(manifest.dump_partition, "w", encoding="utf-8", newline="")
+            if manifest.dump_partition is not None
+            else contextlib.nullcontext()
+        ) as dump:
+            _run_manifest(manifest, out, dump)
     except OSError as exc:
         print(f"noisysearch: i/o error: {exc}", file=sys.stderr)
         return 2

@@ -13,15 +13,22 @@ The belief over the target bin lives in one of two interchangeable forms:
   cheap: tracking the posterior costs O(number of queries), not O(number of
   bins).
 
+:class:`_Partition`, the mutable list form of the partition, is the one
+implementation of the per-step operations (cut, Bayes update, prefix mass,
+half-mass crossing, peak).  The episode engine keeps one per episode; the
+public functions and the selection rules build one from the frozen arrays.
+
 Bins are indexed 1..n throughout the public API; intervals are inclusive
 ``(lo, hi)`` pairs.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Union
+from itertools import accumulate
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -233,12 +240,12 @@ class PosteriorPartition:
     @property
     def max_mass(self) -> float:
         """Largest single-bin posterior value (max density)."""
-        return float(self.densities.max())
+        return _Partition.of(self).peak()[0]
 
     @property
     def argmax(self) -> int:
         """1-based bin index of the largest density; ties go to the smallest bin."""
-        return int(self.lo[int(np.argmax(self.densities))])
+        return _Partition.of(self).peak()[1]
 
 
 Posterior = Union[PosteriorDense, PosteriorPartition]
@@ -276,50 +283,135 @@ def bayes_update_dense(
     return PosteriorDense._wrap(_reweight_dense(post.mass, members, y, p))
 
 
-def _insert_boundary_lists(
-    los: list, his: list, masses: list, b: int
-) -> tuple[list, list, list]:
-    """Split so that some interval starts at bin ``b``; no-op if one already does.
+class _Partition:
+    """Mutable list form of an interval partition: the per-step kernel.
 
-    The straddling interval's mass is divided proportionally to the
-    sub-interval widths.  Degenerate cuts at the ends of the range are
-    dropped, never stored with zero width.
+    ``los``/``his``/``masses`` hold the intervals as in
+    :class:`PosteriorPartition`, and ``cums`` their running prefix sums.
+    Plain lists and ``bisect`` beat numpy at the sizes an episode reaches
+    (at most ``2t + 1`` intervals after ``t`` queries).  The read-only view
+    of a dense vector (:func:`_prefix_index`) holds ranges and arrays instead.
     """
-    if b <= los[0] or b > his[-1]:
-        return los, his, masses
-    j = bisect_right(los, b) - 1
-    if los[j] == b:
-        return los, his, masses
-    width = his[j] - los[j] + 1
-    m = masses[j]
-    left_m = m * ((b - los[j]) / width)
-    right_m = m * ((his[j] - b + 1) / width)
-    return (
-        los[: j + 1] + [b] + los[j + 1 :],
-        his[:j] + [b - 1] + his[j:],
-        masses[:j] + [left_m, right_m] + masses[j + 1 :],
-    )
+
+    __slots__ = ("los", "his", "masses", "cums", "n")
+
+    def __init__(self, los: Sequence, his: Sequence, masses: Sequence, cums: Sequence):
+        self.los = los
+        self.his = his
+        self.masses = masses
+        self.cums = cums
+        self.n = his[-1]
+
+    @classmethod
+    def uniform(cls, n_bins: int) -> "_Partition":
+        return cls([1], [n_bins], [1.0], [1.0])
+
+    @classmethod
+    def of(cls, post: PosteriorPartition) -> "_Partition":
+        masses = post.mass.tolist()
+        return cls(post.lo.tolist(), post.hi.tolist(), masses, list(accumulate(masses)))
+
+    def __len__(self) -> int:
+        return len(self.los)
+
+    def freeze(self) -> PosteriorPartition:
+        return PosteriorPartition._wrap(
+            np.array(self.los, dtype=np.int64),
+            np.array(self.his, dtype=np.int64),
+            np.array(self.masses),
+        )
+
+    def cut(self, b: int) -> None:
+        """Split so that some interval starts at bin ``b``; no-op if one already does.
+
+        The straddling interval's mass is divided proportionally to the
+        sub-interval widths.  Degenerate cuts at the ends of the range are
+        dropped, never stored with zero width.
+        """
+        los = self.los
+        if b <= los[0] or b > self.n:
+            return
+        j = bisect_right(los, b) - 1
+        lo = los[j]
+        if lo == b:
+            return
+        hi = self.his[j]
+        width = hi - lo + 1
+        m = self.masses[j]
+        left_m = m * ((b - lo) / width)
+        los.insert(j + 1, b)
+        self.his.insert(j, b - 1)
+        self.masses[j : j + 1] = [left_m, m * ((hi - b + 1) / width)]
+        self.cums.insert(j, (self.cums[j - 1] if j > 0 else 0.0) + left_m)
+
+    def update(self, s1: int, s2: int, y: int, p: float) -> None:
+        """Bayes step for the query [s1, s2] answered ``y`` with crossover ``p``.
+
+        Cuts at the query endpoints so the query is a union of whole
+        intervals (adding at most two), reweights the interval masses by the
+        channel likelihood and renormalizes.
+        """
+        in_lik, out_lik = _likelihoods(y, p)
+        self.cut(s1)
+        self.cut(s2 + 1)
+        i1 = bisect_left(self.los, s1)
+        i2 = bisect_left(self.his, s2)
+        masses = self.masses
+        new = [m * out_lik for m in masses[:i1]]
+        new += [m * in_lik for m in masses[i1 : i2 + 1]]
+        new += [m * out_lik for m in masses[i2 + 1 :]]
+        total = 0.0
+        for v in new:  # in order: the sum must not depend on the Python version
+            total += v
+        if total <= 0.0:
+            raise ZeroLikelihoodError("all posterior mass has zero likelihood")
+        self.masses = [v / total for v in new]
+        self.cums = list(accumulate(self.masses))
+
+    def prefix(self, k: int) -> float:
+        """Total mass of bins 1..k (0 for k <= 0)."""
+        if k <= 0:
+            return 0.0
+        j = bisect_left(self.his, k)
+        if k == self.his[j]:
+            return self.cums[j]
+        before = self.cums[j - 1] if j > 0 else 0.0
+        lo = self.los[j]
+        width = self.his[j] - lo + 1
+        return before + self.masses[j] * ((k - lo + 1) / width)
+
+    def first_reaching(self, target: float) -> int:
+        """Smallest k with prefix(k) >= target, clamped to n."""
+        cums = self.cums
+        j = bisect_left(cums, target)
+        if j >= len(cums):
+            return self.n
+        before = cums[j - 1] if j > 0 else 0.0
+        mass = self.masses[j]
+        lo = self.los[j]
+        width = self.his[j] - lo + 1
+        if mass <= 0.0:
+            return lo
+        count = math.ceil((target - before) * width / mass)
+        return lo + min(max(count, 1), width) - 1
+
+    def peak(self) -> tuple[float, int]:
+        """(max single-bin mass, 1-based bin index of its first occurrence)."""
+        best, best_lo = -1.0, 1
+        for lo, hi, m in zip(self.los, self.his, self.masses):
+            d = m / (hi - lo + 1)
+            if d > best:
+                best, best_lo = d, lo
+        return best, best_lo
 
 
-def _update_partition_lists(
-    los: list, his: list, masses: list, s1: int, s2: int, in_lik: float, out_lik: float
-) -> tuple[list, list, list]:
-    """Core sequential-binning Bayes step on plain lists (the hot path)."""
-    los, his, masses = _insert_boundary_lists(los, his, masses, s1)
-    los, his, masses = _insert_boundary_lists(los, his, masses, s2 + 1)
-    i1 = bisect_left(los, s1)
-    i2 = bisect_left(his, s2)
-    new = [0.0] * len(masses)
-    total = 0.0
-    for u in range(len(masses)):
-        v = masses[u] * (in_lik if i1 <= u <= i2 else out_lik)
-        new[u] = v
-        total += v
-    if total <= 0.0:
-        raise ZeroLikelihoodError("all posterior mass has zero likelihood")
-    for u in range(len(new)):
-        new[u] /= total
-    return los, his, new
+def _prefix_index(post: Posterior) -> _Partition:
+    """Kernel view of either representation; a dense vector is a partition
+    into unit-width intervals."""
+    if isinstance(post, PosteriorDense):
+        bins = range(1, post.n_bins + 1)  # immutable: the view cannot be cut
+        return _Partition(bins, bins, post.mass, np.cumsum(post.mass))
+    return _Partition.of(post)
 
 
 def bayes_update_partition(
@@ -336,14 +428,9 @@ def bayes_update_partition(
     n = post.n_bins
     if s2 > n:
         raise ValueError(f"query {query.runs} exceeds range 1..{n}")
-    p = noise_for_size(profile, query.size_fraction(n))
-    in_lik, out_lik = _likelihoods(y, p)
-    los, his, masses = _update_partition_lists(
-        post.lo.tolist(), post.hi.tolist(), post.mass.tolist(), s1, s2, in_lik, out_lik
-    )
-    return PosteriorPartition._wrap(
-        np.array(los, dtype=np.int64), np.array(his, dtype=np.int64), np.array(masses)
-    )
+    part = _Partition.of(post)
+    part.update(s1, s2, y, noise_for_size(profile, query.size_fraction(n)))
+    return part.freeze()
 
 
 def flatten(post: PosteriorPartition) -> PosteriorDense:
@@ -356,24 +443,18 @@ def prefix_mass(post: Posterior, k: int) -> float:
     n = post.n_bins
     if not (1 <= k <= n):
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    if isinstance(post, PosteriorDense):
-        return float(post.mass[:k].sum())
-    j = int(np.searchsorted(post.hi, k, side="left"))
-    full = float(post.mass[:j].sum())
-    frac = (k - int(post.lo[j]) + 1) / float(post.hi[j] - post.lo[j] + 1)
-    return full + float(post.mass[j]) * frac
+    return float(_prefix_index(post).prefix(k))
 
 
 def query_mass(post: Posterior, query: QuerySet) -> float:
     """Total posterior mass inside a query set."""
-    if isinstance(post, PosteriorDense):
-        return float(post.mass[query.member_mask(post.n_bins)].sum())
+    if query.runs[-1][1] > post.n_bins:
+        raise ValueError(f"query {query.runs} exceeds range 1..{post.n_bins}")
+    idx = _prefix_index(post)
     total = 0.0
     for lo, hi in query.runs:
-        total += prefix_mass(post, hi)
-        if lo > 1:
-            total -= prefix_mass(post, lo - 1)
-    return total
+        total += idx.prefix(hi) - idx.prefix(lo - 1)
+    return float(total)
 
 
 def posterior_predictive(

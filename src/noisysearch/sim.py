@@ -14,6 +14,7 @@ and any single trial can be replayed in isolation.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -22,15 +23,8 @@ import numpy as np
 
 from .channel import NoiseProfile, noise_for_size, sample_observation
 from .errors import CapExceededError, ContractViolationError
-from .posterior import (
-    Posterior,
-    PosteriorDense,
-    PosteriorPartition,
-    _likelihoods,
-    _reweight_dense,
-    _update_partition_lists,
-)
-from .strategies import StrategyKind, _PartitionPrefix, _run_for, _sort_pm_member_indices
+from .posterior import Posterior, PosteriorDense, PosteriorPartition, _Partition, _reweight_dense
+from .strategies import StrategyKind, _run_for, _sort_pm_member_indices
 
 __all__ = [
     "FixedLength",
@@ -159,18 +153,6 @@ def _lemma_bound_check(n_intervals: int, steps_done: int) -> None:
         )
 
 
-def _max_density(los: list, his: list, masses: list) -> tuple[float, int]:
-    """(max single-bin mass, 1-based bin index of its first occurrence)."""
-    best = -1.0
-    best_lo = 1
-    for u in range(len(masses)):
-        d = masses[u] / (his[u] - los[u] + 1)
-        if d > best:
-            best = d
-            best_lo = los[u]
-    return best, best_lo
-
-
 def _run(
     config: SearchConfig,
     rng: np.random.Generator,
@@ -206,7 +188,7 @@ def _run(
         raise ValueError("checkpoints require fixed-length stopping")
 
     mass_vec = np.full(n, 1.0 / n) if dense else None
-    los, his, masses = [1], [n], [1.0]
+    part = None if dense else _Partition.uniform(n)
     depth = config.L
     theta0 = truth - 1
     sizes: list[float] = []
@@ -228,18 +210,14 @@ def _run(
             estimate = int(np.argmax(mass_vec)) + 1
             peak = float(mass_vec[estimate - 1])
         else:
-            idx = _PartitionPrefix(los, his, masses, n)
-            s1, s2 = _run_for(kind, idx, depth)
+            s1, s2 = _run_for(kind, part, depth)
             frac = (s2 - s1 + 1) / n
             member = s1 <= truth <= s2
             y = sample_observation(profile, member, frac, rng)
-            in_lik, out_lik = _likelihoods(y, noise_for_size(profile, frac))
-            los, his, masses = _update_partition_lists(
-                los, his, masses, s1, s2, in_lik, out_lik
-            )
-            _lemma_bound_check(len(los), t + 1)
-            ops += len(los)
-            peak, estimate = _max_density(los, his, masses)
+            part.update(s1, s2, y, noise_for_size(profile, frac))
+            _lemma_bound_check(len(part), t + 1)
+            ops += len(part)
+            peak, estimate = part.peak()
         tau = t + 1
         sizes.append(frac)
         if trace:
@@ -253,12 +231,7 @@ def _run(
     else:
         raise CapExceededError(f"episode exceeded {STEP_CAP} steps without stopping")
 
-    if dense:
-        post: Posterior = PosteriorDense._wrap(mass_vec)
-    else:
-        post = PosteriorPartition._wrap(
-            np.array(los, dtype=np.int64), np.array(his, dtype=np.int64), np.array(masses)
-        )
+    post: Posterior = PosteriorDense._wrap(mass_vec) if dense else part.freeze()
     rec = EpisodeRecord(
         tau=tau,
         estimate=estimate,
@@ -303,32 +276,46 @@ def episode_final_posterior(config: SearchConfig, trial_index: int = 0) -> Poste
     return post
 
 
-def _mc_range(config: SearchConfig, start: int, stop: int) -> tuple[int, int]:
-    errors = 0
+def _count_trials(
+    config: SearchConfig, checkpoints: Optional[tuple[int, ...]], start: int, stop: int
+) -> tuple[np.ndarray, int]:
+    """Counts over trials ``start..stop-1``: errors at each checkpoint (or of
+    the final estimate, without checkpoints) and the sum of stopping times."""
+    errors = np.zeros(len(checkpoints) if checkpoints else 1, dtype=np.int64)
     tau_sum = 0
     for i in range(start, stop):
-        rec, _ = _run(config, trial_rng(config.seed, i), False, None)
-        errors += not rec.correct
+        rec, _ = _run(config, trial_rng(config.seed, i), False, checkpoints)
+        estimates = rec.checkpoint_estimates if checkpoints else (rec.estimate,)
+        for k, est in enumerate(estimates):
+            errors[k] += est != rec.truth
         tau_sum += rec.tau
     return errors, tau_sum
 
 
-def _sweep_range(
-    config: SearchConfig, ns: tuple[int, ...], start: int, stop: int
-) -> np.ndarray:
-    errors = np.zeros(len(ns), dtype=np.int64)
-    sweep_config = replace(config, stopping=FixedLength(ns[-1]))
-    for i in range(start, stop):
-        rec, _ = _run(config=sweep_config, rng=trial_rng(config.seed, i), trace=False, checkpoints=ns)
-        for k, est in enumerate(rec.checkpoint_estimates):
-            errors[k] += est != rec.truth
-    return errors
-
-
-def _chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
-    chunks = min(max(workers, 1) * 4, trials)
-    edges = np.linspace(0, trials, chunks + 1, dtype=int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+def _map_trials(
+    config: SearchConfig, checkpoints: Optional[tuple[int, ...]], trials: int, workers: int
+) -> tuple[np.ndarray, int]:
+    """:func:`_count_trials` over all trials, chunked on at most ``os.cpu_count()``
+    processes; the integer counts do not depend on the chunking."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)
+    if workers <= 1:
+        return _count_trials(config, checkpoints, 0, trials)
+    edges = np.linspace(0, trials, min(workers * 4, trials) + 1, dtype=int).tolist()
+    errors = 0
+    tau_sum = 0
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_count_trials, config, checkpoints, a, b)
+            for a, b in zip(edges[:-1], edges[1:])
+            if b > a
+        ]
+        for fut in futures:
+            e, ts = fut.result()
+            errors += e
+            tau_sum += ts
+    return errors, tau_sum
 
 
 def _summarize(config: SearchConfig, trials: int, errors: int, tau_sum: float) -> MonteCarloSummary:
@@ -359,22 +346,8 @@ def run_monte_carlo(config: SearchConfig, trials: int, workers: int = 1) -> Mont
     independent of scheduling and the reduction is in trial order over
     integer counters.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if workers <= 1:
-        errors, tau_sum = _mc_range(config, 0, trials)
-    else:
-        errors = 0
-        tau_sum = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_mc_range, config, a, b) for a, b in _chunk_bounds(trials, workers)
-            ]
-            for fut in futures:
-                e, ts = fut.result()
-                errors += e
-                tau_sum += ts
-    return _summarize(config, trials, errors, tau_sum)
+    errors, tau_sum = _map_trials(config, None, trials, workers)
+    return _summarize(config, trials, int(errors[0]), tau_sum)
 
 
 def sweep_error_vs_queries(
@@ -386,22 +359,11 @@ def sweep_error_vs_queries(
     the largest budget and read off at every checkpoint), so the resulting
     curves are directly comparable point by point.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     ns = tuple(sorted(set(int(v) for v in n_values)))
     if not ns or ns[0] < 1:
         raise ValueError("n_values must be non-empty positive integers")
-    if workers <= 1:
-        errors = _sweep_range(config, ns, 0, trials)
-    else:
-        errors = np.zeros(len(ns), dtype=np.int64)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_sweep_range, config, ns, a, b)
-                for a, b in _chunk_bounds(trials, workers)
-            ]
-            for fut in futures:
-                errors += fut.result()
+    sweep_config = replace(config, stopping=FixedLength(ns[-1]))
+    errors, _ = _map_trials(sweep_config, ns, trials, workers)
     return [
         (n, _summarize(config, trials, int(err), float(n) * trials))
         for n, err in zip(ns, errors)

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -37,6 +35,7 @@ from .posterior import (
     Posterior,
     PosteriorDense,
     QuerySet,
+    _prefix_index,
     avg_log_likelihood,
 )
 
@@ -101,71 +100,6 @@ class TreeNode:
         )
 
 
-class _DensePrefix:
-    """Cached prefix masses of a dense posterior."""
-
-    __slots__ = ("cum", "n")
-
-    def __init__(self, post: PosteriorDense):
-        self.cum = np.cumsum(post.mass)
-        self.n = post.n_bins
-
-    def prefix(self, k: int) -> float:
-        return float(self.cum[k - 1]) if k > 0 else 0.0
-
-    def first_reaching(self, target: float) -> int:
-        """Smallest k with prefix(k) >= target, clamped to n."""
-        k = int(np.searchsorted(self.cum, target, side="left")) + 1
-        return min(k, self.n)
-
-
-class _PartitionPrefix:
-    """Cached prefix masses of an interval partition (bisect on plain lists:
-    the hot per-step path of the connected-geometry strategies)."""
-
-    __slots__ = ("los", "his", "masses", "cums", "n", "m")
-
-    def __init__(self, los: list, his: list, masses: list, n_bins: int):
-        self.los = los
-        self.his = his
-        self.masses = masses
-        self.cums = list(accumulate(masses))
-        self.n = n_bins
-        self.m = len(los)
-
-    def prefix(self, k: int) -> float:
-        if k <= 0:
-            return 0.0
-        j = bisect_left(self.his, k)
-        if k == self.his[j]:
-            return self.cums[j]
-        before = self.cums[j - 1] if j > 0 else 0.0
-        lo = self.los[j]
-        width = self.his[j] - lo + 1
-        return before + self.masses[j] * ((k - lo + 1) / width)
-
-    def first_reaching(self, target: float) -> int:
-        j = bisect_left(self.cums, target)
-        if j >= self.m:
-            return self.n
-        before = self.cums[j - 1] if j > 0 else 0.0
-        mass = self.masses[j]
-        lo = self.los[j]
-        width = self.his[j] - lo + 1
-        if mass <= 0.0:
-            return lo
-        count = math.ceil((target - before) * width / mass)
-        return lo + min(max(count, 1), width) - 1
-
-
-def _prefix_index(post: Posterior):
-    if isinstance(post, PosteriorDense):
-        return _DensePrefix(post)
-    return _PartitionPrefix(
-        post.lo.tolist(), post.hi.tolist(), post.mass.tolist(), post.n_bins
-    )
-
-
 def _best_prefix_end(idx, start: int) -> int:
     """k* = argmin_{k >= start} |mass of [start, k] - 1/2|, ties to smaller k.
 
@@ -209,9 +143,15 @@ def _run_for(kind: "StrategyKind", idx, depth: int) -> tuple[int, int]:
     raise ValueError(f"no contiguous selection rule for {kind!r}")
 
 
+def _select_connected(kind: StrategyKind, post: Posterior, depth: int) -> QuerySet:
+    if kind is not StrategyKind.MEDIAN_PM:
+        _check_dyadic(post, depth)
+    return QuerySet.from_run(*_run_for(kind, _prefix_index(post), depth))
+
+
 def select_median_pm(post: Posterior) -> QuerySet:
     """Prefix set [1, k*] whose mass is closest to 1/2."""
-    return QuerySet.from_run(*_run_for(StrategyKind.MEDIAN_PM, _prefix_index(post), 0))
+    return _select_connected(StrategyKind.MEDIAN_PM, post, 0)
 
 
 def _sorted_prefix_cut(mass: np.ndarray) -> tuple[int, float]:
@@ -324,28 +264,19 @@ def heaviest_node(post: Posterior, depth: int) -> TreeNode:
 
 def select_hie_pm(post: Posterior, depth: int) -> QuerySet:
     """Among the heavy node and its two children, the one closest to 1/2 mass."""
-    _check_dyadic(post, depth)
-    return QuerySet.from_run(*_run_for(StrategyKind.HIE_PM, _prefix_index(post), depth))
+    return _select_connected(StrategyKind.HIE_PM, post, depth)
 
 
 def select_dya_pm(post: Posterior, depth: int) -> QuerySet:
     """From the heavy node's left edge, extend to the prefix closest to 1/2."""
-    _check_dyadic(post, depth)
-    return QuerySet.from_run(*_run_for(StrategyKind.DYA_PM, _prefix_index(post), depth))
+    return _select_connected(StrategyKind.DYA_PM, post, depth)
 
 
 def select(kind: StrategyKind, post: Posterior) -> QuerySet:
     """Dispatch to the selection rule; tree depth is derived from the bin count."""
-    if kind is StrategyKind.MEDIAN_PM:
-        return select_median_pm(post)
     if kind is StrategyKind.SORT_PM:
         return select_sort_pm(post)
-    depth = post.n_bins.bit_length() - 1
-    if kind is StrategyKind.HIE_PM:
-        return select_hie_pm(post, depth)
-    if kind is StrategyKind.DYA_PM:
-        return select_dya_pm(post, depth)
-    raise ValueError(f"unknown strategy {kind!r}")
+    return _select_connected(kind, post, post.n_bins.bit_length() - 1)
 
 
 def ejs_divergence(post: PosteriorDense, query: QuerySet, profile: NoiseProfile) -> float:

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from noisysearch.cli import RunManifest, main, parse_args, parse_n_values, parse_noise
+from noisysearch import cli
+from noisysearch.cli import RunManifest, execute, main, parse_args, parse_n_values, parse_noise
 from noisysearch.channel import AffineNoise, ConstantNoise
 
 
@@ -71,9 +72,29 @@ class TestParsing:
              "--out", "x.csv"],  # missing --n
             ["simulate", "--strategy", "sort", "--L", "10", "--noise", "affine:0.1:0.5",
              "--vl", "0.01", "--out", "x.csv", "--bogus"],  # unknown flag
+            ["simulate", "--strategy", "dya", "--L", "10", "--noise", "affine:0.1:0.5",
+             "--fl", "2000000", "--out", "x.csv"],  # budget over the step cap
+            ["sweep", "--strategy", "dya", "--L", "10", "--noise", "affine:0.1:0.5",
+             "--n", "0,5", "--out", "x.csv"],  # non-positive budget
+            ["simulate", "--config", '{"L": "12"}', "--strategy", "dya",
+             "--noise", "affine:0.1:0.5", "--vl", "0.01", "--out", "x.csv"],  # config type
+            ["simulate", "--strategy", "sort", "--L", "6", "--noise", "affine:0.1:0.5",
+             "--vl", "0.01", "--out", "x.csv",
+             "--dump-partition", "p.csv"],  # dense posterior has no partition
+            ["simulate", "--strategy", "median", "--L", "8", "--noise", "constant:0.5",
+             "--vl", "0.01", "--out", "x.csv"],  # uninformative: p(1/2) = 1/2
+            ["simulate", "--strategy", "median", "--L", "8", "--noise", "affine:0.1:inf",
+             "--vl", "0.01", "--out", "x.csv"],  # uninformative: p(1/2) = inf
+            ["simulate", "--strategy", "median", "--L", "8", "--noise", "affine:0.1:nan",
+             "--vl", "0.01", "--out", "x.csv"],  # uninformative: p(1/2) = nan
         ],
     )
-    def test_usage_errors_exit_nonzero(self, argv):
+    def test_usage_errors_exit_nonzero(self, argv, tmp_path):
+        if "--config" in argv:  # the value after --config is the file's JSON text
+            i = argv.index("--config") + 1
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(argv[i])
+            argv = argv[:i] + [str(cfg)] + argv[i + 1 :]
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
@@ -199,12 +220,14 @@ class TestExecution:
         assert sum(float(r["mass"]) for r in rows) == pytest.approx(1.0, abs=1e-9)
 
     def test_dump_partition_rejected_for_dense_strategy(self, tmp_path, capsys):
-        code = main(["simulate", "--strategy", "sort", "--L", "6",
-                     "--noise", "affine:0.1:0.5", "--vl", "0.01",
-                     "--trials", "5", "--seed", "3",
-                     "--out", str(tmp_path / "s.csv"),
-                     "--dump-partition", str(tmp_path / "p.csv")])
-        assert code == 3
+        # parse_args rejects this combination; a manifest built without it
+        # still fails cleanly in execute
+        manifest = RunManifest(
+            subcommand="simulate", noise="affine:0.1:0.5", out=str(tmp_path / "s.csv"),
+            strategy="sort", L=6, vl=0.01, trials=5, seed=3,
+            dump_partition=str(tmp_path / "p.csv"),
+        )
+        assert execute(manifest) == 3
         assert "internal error" in capsys.readouterr().err
 
     def test_io_error_exit_code(self, tmp_path, capsys):
@@ -212,6 +235,20 @@ class TestExecution:
                      "--noise", "affine:0.1:0.5", "--vl", "0.01",
                      "--trials", "5", "--seed", "3",
                      "--out", str(tmp_path / "missing" / "out.csv")])
+        assert code == 2
+        assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-partition"])
+    def test_unwritable_output_fails_before_the_run(self, flag, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_monte_carlo must not start")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", no_run)
+        paths = {"--out": str(tmp_path / "s.csv"), "--dump-partition": str(tmp_path / "p.csv")}
+        paths[flag] = str(tmp_path / "missing" / "x.csv")
+        code = main(["simulate", "--strategy", "dya", "--L", "5",
+                     "--noise", "affine:0.1:0.5", "--vl", "0.01", "--trials", "5",
+                     "--out", paths["--out"], "--dump-partition", paths["--dump-partition"]])
         assert code == 2
         assert "i/o error" in capsys.readouterr().err
 

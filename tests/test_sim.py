@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -121,6 +122,36 @@ class TestDeterminism:
         r1 = sweep_error_vs_queries(cfg, [5, 10, 20], 50, workers=1)
         r2 = sweep_error_vs_queries(cfg, [5, 10, 20], 50, workers=2)
         assert r1 == r2
+
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch):
+        """An inline stand-in for the pool records its size and starts no
+        process; the capped runs still match the single-process ones."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+        cfg = config(strategy=StrategyKind.DYA_PM, L=6, seed=12)
+        assert run_monte_carlo(cfg, 40, workers=10_000) == run_monte_carlo(cfg, 40)
+        fl = dataclasses.replace(cfg, stopping=FixedLength(20))
+        assert sweep_error_vs_queries(fl, [5, 20], 40, workers=10_000) == (
+            sweep_error_vs_queries(fl, [5, 20], 40)
+        )
+        assert sizes == [3, 3]
 
 
 class TestEngineMatchesPublicApi:
