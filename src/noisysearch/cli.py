@@ -113,8 +113,15 @@ def _default_workers() -> int:
     return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, exit status 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noisysearch",
         description="Sequential target search under size-dependent measurement noise.",
     )

@@ -3,8 +3,9 @@
 The belief over the target bin lives in one of two interchangeable forms:
 
 * :class:`PosteriorDense` — a length-``n`` probability vector, one entry per
-  bin.  Used by the sorted-matching strategy, whose query sets are arbitrary
-  unions of runs.
+  bin: the public form of the sorted-matching posterior, whose query sets
+  are arbitrary unions of runs, and the oracle the partition is checked
+  against.
 
 * :class:`PosteriorPartition` — an interval-piecewise-constant simple
   function.  When every query is a single contiguous interval, each update
@@ -17,6 +18,12 @@ The belief over the target bin lives in one of two interchangeable forms:
 implementation of the per-step operations (cut, Bayes update, prefix mass,
 half-mass crossing, peak).  The episode engine keeps one per episode; the
 public functions and the selection rules build one from the frozen arrays.
+:class:`_Runs`, the maximal runs of equal per-bin value, is the same for the
+sorted-matching rule: a sortPM query cuts at most one run, so after ``t``
+steps there are at most ``t + 1`` runs, and the engine never holds the
+``n``-entry vector.  :func:`select_sort_pm` and :func:`bayes_update_dense`
+run the kernel on the run-length encoding of the vector, so they agree with
+the engine bit for bit.
 
 Bins are indexed 1..n throughout the public API; intervals are inclusive
 ``(lo, hi)`` pairs.
@@ -27,8 +34,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -237,15 +245,19 @@ class PosteriorPartition:
             (int(a), int(b), float(m)) for a, b, m in zip(self.lo, self.hi, self.mass)
         ]
 
+    @cached_property
+    def _peak(self) -> tuple[float, int]:
+        return _Partition.of(self).peak()
+
     @property
     def max_mass(self) -> float:
         """Largest single-bin posterior value (max density)."""
-        return _Partition.of(self).peak()[0]
+        return self._peak[0]
 
     @property
     def argmax(self) -> int:
         """1-based bin index of the largest density; ties go to the smallest bin."""
-        return _Partition.of(self).peak()[1]
+        return self._peak[1]
 
 
 Posterior = Union[PosteriorDense, PosteriorPartition]
@@ -260,27 +272,15 @@ def _likelihoods(y: int, p: float) -> tuple[float, float]:
     return p, 1.0 - p
 
 
-def _reweight_dense(mass: np.ndarray, member_idx: np.ndarray, y: int, p: float) -> np.ndarray:
-    """Core dense Bayes step: reweight by the channel likelihood and normalize."""
-    in_lik, out_lik = _likelihoods(y, p)
-    lik = np.full(mass.size, out_lik)
-    lik[member_idx] = in_lik
-    new = mass * lik
-    total = float(new.sum())
-    if total <= 0.0:
-        raise ZeroLikelihoodError("all posterior mass has zero likelihood")
-    new /= total
-    return new
-
-
 def bayes_update_dense(
     post: PosteriorDense, query: QuerySet, y: int, profile: NoiseProfile
 ) -> PosteriorDense:
     """One Bayes step on the dense vector."""
     n = post.n_bins
     p = noise_for_size(profile, query.size_fraction(n))
-    members = np.flatnonzero(query.member_mask(n))
-    return PosteriorDense._wrap(_reweight_dense(post.mass, members, y, p))
+    runs, flags = _Runs.of(post.mass, query.member_mask(n))
+    runs.update(flags, y, p)
+    return PosteriorDense._wrap(runs.expand())
 
 
 class _Partition:
@@ -403,6 +403,135 @@ class _Partition:
             if d > best:
                 best, best_lo = d, lo
         return best, best_lo
+
+
+class _Runs:
+    """Maximal runs of equal per-bin value: the sorted-matching kernel.
+
+    ``vals[u]`` is the value of each bin in ``los[u]..his[u]``, and adjacent
+    runs never hold the same value, so the runs are exactly the run-length
+    encoding of the dense vector.
+    """
+
+    __slots__ = ("los", "his", "vals", "n")
+
+    def __init__(self, los: list, his: list, vals: list):
+        self.los = los
+        self.his = his
+        self.vals = vals
+        self.n = his[-1]
+
+    @classmethod
+    def uniform(cls, n_bins: int) -> "_Runs":
+        return cls([1], [n_bins], [1.0 / n_bins])
+
+    @classmethod
+    def of(
+        cls, mass: np.ndarray, member: Optional[np.ndarray] = None
+    ) -> tuple["_Runs", Optional[list]]:
+        """Run-length encoding of ``mass``.  With a boolean ``member`` vector
+        the runs are also cut where it changes, and each run's membership is
+        returned alongside."""
+        change = mass[1:] != mass[:-1]
+        if member is not None:
+            change |= member[1:] != member[:-1]
+        starts = np.flatnonzero(change) + 1
+        heads = np.concatenate(([0], starts))
+        runs = cls((heads + 1).tolist(), starts.tolist() + [mass.size], mass[heads].tolist())
+        return runs, None if member is None else member[heads].tolist()
+
+    def __len__(self) -> int:
+        return len(self.los)
+
+    def expand(self) -> np.ndarray:
+        widths = np.array(self.his) - np.array(self.los) + 1
+        return np.repeat(np.array(self.vals), widths)
+
+    def freeze(self) -> PosteriorDense:
+        return PosteriorDense._wrap(self.expand())
+
+    def select(self) -> tuple[list, int]:
+        """The sorted-matching query: (membership of each run, bin count).
+
+        Runs are taken in order of decreasing value, ties to the smaller
+        index, until the taken mass reaches 1/2.  Inside the crossing run the
+        count of bins is the one whose total is closest to 1/2, ties to the
+        smaller count; the run is cut there, so the query is a union of whole
+        runs.  At most one run is cut.
+        """
+        los, his, vals = self.los, self.his, self.vals
+        order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)  # stable
+        flags = [False] * len(vals)
+        taken = 0.0
+        size = 0
+        for i in order:
+            v = vals[i]
+            w = his[i] - los[i] + 1
+            if taken + v * w >= 0.5:
+                break
+            taken += v * w
+            size += w
+            flags[i] = True
+        else:
+            raise ContractViolationError("posterior mass below 1/2")
+        # j0: fewest bins of run i whose total reaches 1/2; j0 - 1 wins a tie
+        j0 = min(max(math.ceil((0.5 - taken) / v), 1), w)
+        while j0 < w and taken + j0 * v < 0.5:
+            j0 += 1
+        while j0 > 1 and taken + (j0 - 1) * v >= 0.5:
+            j0 -= 1
+        j = j0
+        if size + j0 > 1 and abs(taken + (j0 - 1) * v - 0.5) <= abs(taken + j0 * v - 0.5):
+            j = j0 - 1
+        if j == w:
+            flags[i] = True
+        elif j > 0:
+            los.insert(i + 1, los[i] + j)
+            his.insert(i, los[i] + j - 1)
+            vals.insert(i, v)
+            flags[i:i] = [True]
+        return flags, size + j
+
+    def update(self, flags: Sequence, y: int, p: float) -> None:
+        """Bayes step for the query made of the runs flagged in ``flags``.
+
+        The normalizer sums value times width over the runs in index order;
+        neighbours whose values become equal are merged.
+        """
+        in_lik, out_lik = _likelihoods(y, p)
+        new = [v * (in_lik if f else out_lik) for v, f in zip(self.vals, flags)]
+        total = 0.0
+        for v, lo, hi in zip(new, self.los, self.his):
+            total += v * (hi - lo + 1)
+        if total <= 0.0:
+            raise ZeroLikelihoodError("all posterior mass has zero likelihood")
+        los, his, vals = [], [], []
+        for lo, hi, v in zip(self.los, self.his, new):
+            v /= total
+            if vals and vals[-1] == v:
+                his[-1] = hi
+            else:
+                los.append(lo)
+                his.append(hi)
+                vals.append(v)
+        self.los, self.his, self.vals = los, his, vals
+
+    def peak(self) -> tuple[float, int]:
+        """(max single-bin mass, 1-based bin index of its first occurrence)."""
+        best = max(self.vals)
+        return best, self.los[self.vals.index(best)]
+
+    def query_runs(self, flags: Sequence) -> tuple[tuple[int, int], ...]:
+        """The flagged runs as sorted, non-adjacent ``(lo, hi)`` pairs."""
+        out: list[list[int]] = []
+        for lo, hi, f in zip(self.los, self.his, flags):
+            if not f:
+                continue
+            if out and out[-1][1] == lo - 1:
+                out[-1][1] = hi
+            else:
+                out.append([lo, hi])
+        return tuple((lo, hi) for lo, hi in out)
 
 
 def _prefix_index(post: Posterior) -> _Partition:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -23,8 +24,8 @@ import numpy as np
 
 from .channel import NoiseProfile, noise_for_size, sample_observation
 from .errors import CapExceededError, ContractViolationError
-from .posterior import Posterior, PosteriorDense, PosteriorPartition, _Partition, _reweight_dense
-from .strategies import StrategyKind, _run_for, _sort_pm_member_indices
+from .posterior import Posterior, _Partition, _Runs
+from .strategies import StrategyKind, _run_for
 
 __all__ = [
     "FixedLength",
@@ -145,11 +146,12 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     )
 
 
-def _lemma_bound_check(n_intervals: int, steps_done: int) -> None:
-    if n_intervals > 2 * steps_done + 1:
+def _lemma_bound_check(n_intervals: int, steps_done: int, cuts_per_step: int) -> None:
+    bound = cuts_per_step * steps_done + 1
+    if n_intervals > bound:
         raise ContractViolationError(
-            f"partition has {n_intervals} intervals after {steps_done} connected "
-            f"queries, exceeding {2 * steps_done + 1}"
+            f"posterior has {n_intervals} intervals after {steps_done} queries, "
+            f"exceeding {bound}"
         )
 
 
@@ -158,11 +160,16 @@ def _run(
     rng: np.random.Generator,
     trace: bool,
     checkpoints: Optional[tuple[int, ...]],
-) -> tuple[EpisodeRecord, Posterior]:
+) -> tuple[EpisodeRecord, Union[_Partition, _Runs]]:
+    """One episode; returns its record and the final kernel state (frozen
+    only on request, so sortPM never holds the ``n``-entry vector)."""
     n = config.n_bins
     profile = config.profile
     kind = config.strategy
-    dense = kind is StrategyKind.SORT_PM
+    sort = kind is StrategyKind.SORT_PM
+    # sortPM cuts at most one run per query, a connected query at most two
+    state = _Runs.uniform(n) if sort else _Partition.uniform(n)
+    cuts_per_step = 1 if sort else 2
 
     if config.target is not None:
         truth = config.target
@@ -176,7 +183,7 @@ def _run(
             ops=0, max_posterior_trace=(1.0,) if trace else None,
             checkpoint_estimates=tuple(1 for _ in checkpoints) if checkpoints else None,
         )
-        return rec, PosteriorDense.uniform(1) if dense else PosteriorPartition.uniform(1)
+        return rec, state
 
     fl_n = config.stopping.n if isinstance(config.stopping, FixedLength) else None
     vl_threshold = (
@@ -187,10 +194,7 @@ def _run(
     if checkpoints is not None and fl_n is None:
         raise ValueError("checkpoints require fixed-length stopping")
 
-    mass_vec = np.full(n, 1.0 / n) if dense else None
-    part = None if dense else _Partition.uniform(n)
     depth = config.L
-    theta0 = truth - 1
     sizes: list[float] = []
     max_trace: list[float] = [] if trace else None
     cp_estimates: list[int] = [] if checkpoints is not None else None
@@ -198,26 +202,22 @@ def _run(
     tau = 0
 
     for t in range(STEP_CAP):
-        if dense:
-            members = _sort_pm_member_indices(mass_vec)
-            frac = members.size / n
-            j = int(np.searchsorted(members, theta0))
-            member = j < members.size and int(members[j]) == theta0
-            y = sample_observation(profile, member, frac, rng)
-            p = noise_for_size(profile, frac)
-            mass_vec = _reweight_dense(mass_vec, members, y, p)
-            ops += n
-            estimate = int(np.argmax(mass_vec)) + 1
-            peak = float(mass_vec[estimate - 1])
+        # query: the kernel's own form of the query set, as update arguments
+        if sort:
+            flags, size = state.select()
+            member = flags[bisect_right(state.los, truth) - 1]
+            query = (flags,)
         else:
-            s1, s2 = _run_for(kind, part, depth)
-            frac = (s2 - s1 + 1) / n
+            s1, s2 = _run_for(kind, state, depth)
+            size = s2 - s1 + 1
             member = s1 <= truth <= s2
-            y = sample_observation(profile, member, frac, rng)
-            part.update(s1, s2, y, noise_for_size(profile, frac))
-            _lemma_bound_check(len(part), t + 1)
-            ops += len(part)
-            peak, estimate = part.peak()
+            query = (s1, s2)
+        frac = size / n
+        y = sample_observation(profile, member, frac, rng)
+        state.update(*query, y, noise_for_size(profile, frac))
+        _lemma_bound_check(len(state), t + 1, cuts_per_step)
+        ops += len(state)
+        peak, estimate = state.peak()
         tau = t + 1
         sizes.append(frac)
         if trace:
@@ -231,7 +231,6 @@ def _run(
     else:
         raise CapExceededError(f"episode exceeded {STEP_CAP} steps without stopping")
 
-    post: Posterior = PosteriorDense._wrap(mass_vec) if dense else part.freeze()
     rec = EpisodeRecord(
         tau=tau,
         estimate=estimate,
@@ -242,7 +241,7 @@ def _run(
         max_posterior_trace=tuple(max_trace) if trace else None,
         checkpoint_estimates=tuple(cp_estimates) if cp_estimates is not None else None,
     )
-    return rec, post
+    return rec, state
 
 
 def run_episode(
@@ -271,9 +270,11 @@ def run_episode(
 
 
 def episode_final_posterior(config: SearchConfig, trial_index: int = 0) -> Posterior:
-    """Replay one trial and return its final posterior (debugging aid)."""
-    _, post = _run(config, trial_rng(config.seed, trial_index), False, None)
-    return post
+    """Replay one trial and return its final posterior (debugging aid).
+
+    sortPM's posterior is the dense vector, built here from its runs."""
+    _, state = _run(config, trial_rng(config.seed, trial_index), False, None)
+    return state.freeze()
 
 
 def _count_trials(

@@ -36,6 +36,7 @@ from .posterior import (
     PosteriorDense,
     QuerySet,
     _prefix_index,
+    _Runs,
     avg_log_likelihood,
 )
 
@@ -154,58 +155,18 @@ def select_median_pm(post: Posterior) -> QuerySet:
     return _select_connected(StrategyKind.MEDIAN_PM, post, 0)
 
 
-def _sorted_prefix_cut(mass: np.ndarray) -> tuple[int, float]:
-    """(k*, v*): optimal sorted-prefix length and the value of its last entry.
-
-    Only the top of the descending-sorted vector matters: the sorted prefix
-    mass crosses 1/2 within the top k entries whenever those entries hold at
-    least half the mass, so partial selection (``np.partition``) yields the
-    same cut as a full sort — partial sums over equal values do not depend
-    on their relative order.
-    """
-    n = mass.size
-    k_sel = 64
-    while True:
-        if k_sel >= n:
-            vals = np.sort(mass)[::-1]
-        else:
-            vals = np.sort(np.partition(mass, n - k_sel)[n - k_sel :])[::-1]
-        cum = np.cumsum(vals)
-        if k_sel >= n or cum[-1] >= 0.5:
-            break
-        k_sel *= 4
-    if cum[-1] < 0.5:
-        k0 = int(vals.size)
-    else:
-        k0 = int(np.searchsorted(cum, 0.5, side="left")) + 1
-    k_star = k0
-    if k0 > 1 and abs(cum[k0 - 2] - 0.5) <= abs(cum[k0 - 1] - 0.5):
-        k_star = k0 - 1
-    return k_star, float(vals[k_star - 1])
-
-
-def _sort_pm_member_indices(mass: np.ndarray) -> np.ndarray:
-    """0-based, ascending indices of the sorted-matching query set."""
-    top = int(np.argmax(mass))
-    if mass[top] >= 0.5:
-        # the sorted prefix mass already meets 1/2 at k=1 and only moves away
-        return np.array([top], dtype=np.int64)
-    k_star, v_star = _sorted_prefix_cut(mass)
-    keep = mass > v_star
-    need = k_star - int(np.count_nonzero(keep))
-    keep[np.flatnonzero(mass == v_star)[:need]] = True
-    return np.flatnonzero(keep)
-
-
 def select_sort_pm(post: PosteriorDense) -> QuerySet:
     """Top-mass bins of the descending-sorted posterior, total closest to 1/2.
 
     The implied sort is stable with ties broken by the original bin index,
-    so among equal masses the smaller indices enter the query first.
+    so among equal masses the smaller indices enter the query first.  Runs
+    on the run-length encoding of the vector: O(m log m) for m runs.
     """
     if not isinstance(post, PosteriorDense):
         raise TypeError("sorted matching operates on the dense representation")
-    return QuerySet.from_indices(_sort_pm_member_indices(post.mass) + 1)
+    runs, _ = _Runs.of(post.mass)
+    flags, _ = runs.select()
+    return QuerySet(runs.query_runs(flags))
 
 
 def _check_dyadic(post: Posterior, depth: int) -> None:

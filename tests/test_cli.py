@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import pytest
 
@@ -98,6 +99,23 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--strategy", "dya", "--L", "10", "--noise", "affine:0.1:0.5",
+             "--fl", "2000000", "--out", "x.csv"],  # checked after parsing
+            ["simulate", "--strategy", "maxejs", "--L", "10", "--noise", "affine:0.1:0.5",
+             "--vl", "0.01", "--out", "x.csv"],  # rejected by the subcommand's parser
+        ],
+    )
+    def test_usage_error_is_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith("noisysearch") and ": error: " in err
 
     def test_config_file_merge_flags_win(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -206,6 +224,19 @@ class TestExecution:
         payload = json.loads(out.read_text())
         assert isinstance(payload, list) and payload[0]["strategy"] == "sort"
         assert payload[0]["param"] == 10
+
+    def test_sort_memory_does_not_grow_with_bins(self, tmp_path):
+        # 2**24 bins: the dense vector alone would take 128 MiB
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--strategy", "sort", "--L", "24",
+                         "--noise", "affine:0.1:0.5", "--fl", "10", "--trials", "2",
+                         "--seed", "1", "--workers", "1", "--out", str(tmp_path / "s.csv")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * 2**20
 
     def test_dump_partition(self, tmp_path):
         out = tmp_path / "sim.csv"

@@ -66,7 +66,7 @@ GOLDEN_CLI = {
 
 GOLDEN_EPISODES = {
     "median": "c69a5125a9e66883b9bfeffe16b5fcbfb6619c80830d02adeb3b595937bc0096",
-    "sort": "59a80b4a8f39e57c914feb008fba0499072ca7e71150cf05927950ae9cf93812",
+    "sort": "e1e2f02a324b57dc8573a5a4874d6a6a65dda9c179a96bcd3716be3e8a604aec",
     "dya": "6a5395b84ea2e7ca52aae0af77500c9726aacd00833603c96c17d8f590edd3a8",
     "hie": "6100438f48cfcf16df982edc325bacf47278692a638e91ddbf970ac32def2f10",
 }

@@ -292,11 +292,11 @@ class TestErrorOrdering:
 
 class TestWorkAccounting:
     """Per-step work follows the complexity table: O(#intervals) = O(t) for
-    the connected strategies, one dense pass per step for sorted matching
-    (against its n log n budget)."""
+    every strategy, sorted matching included (at most t + 1 runs), and
+    nothing that grows with 2**L."""
 
     def test_partition_strategies_scale_with_time(self):
-        for kind in (StrategyKind.DYA_PM, StrategyKind.HIE_PM, StrategyKind.MEDIAN_PM):
+        for kind in ALL_KINDS:
             per_step = {}
             mean_tau = {}
             for L in (8, 12):
@@ -306,19 +306,8 @@ class TestWorkAccounting:
                 mean_tau[L] = sum(r.tau for r in recs) / len(recs)
             measured = per_step[12] / per_step[8]
             predicted = mean_tau[12] / mean_tau[8]
-            assert measured / predicted < 3.0
-            assert predicted / measured < 3.0
-
-    def test_sorted_matching_within_nlogn_budget(self):
-        per_step = {}
-        for L in (8, 12):
-            cfg = config(L=L, strategy=StrategyKind.SORT_PM, stopping=VariableLength(1e-3), seed=19)
-            recs = [run_episode(cfg, trial_rng(cfg.seed, i)) for i in range(40)]
-            per_step[L] = sum(r.ops for r in recs) / sum(r.tau for r in recs)
-        measured = per_step[12] / per_step[8]
-        predicted = (2**12 * 12) / (2**8 * 8)
-        assert measured / predicted < 3.0
-        assert predicted / measured < 3.0
+            assert measured / predicted < 3.0, kind
+            assert predicted / measured < 3.0, kind
 
 
 class TestSummaries:

@@ -1,20 +1,30 @@
 """Query-selection rules, EJS divergence, and the binned log-likelihoods."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
-from noisysearch.channel import AffineNoise, ConstantNoise, mutual_info_bsc, noise_for_size, reliability_c1
+from noisysearch.channel import (
+    AffineNoise,
+    ConstantNoise,
+    mutual_info_bsc,
+    noise_for_size,
+    reliability_c1,
+    sample_observation,
+)
 from noisysearch.posterior import (
     PosteriorDense,
     PosteriorPartition,
     QuerySet,
+    _Runs,
     avg_log_likelihood,
     bayes_update_dense,
     posterior_predictive,
     query_mass,
 )
+from noisysearch.sim import trial_rng
 from noisysearch.strategies import (
     StrategyKind,
     TreeNode,
@@ -102,6 +112,13 @@ class TestSortPM:
         # sorted prefixes (0.3, 0.6, 0.8, 1.0) -> k* = 2
         assert select_sort_pm(dense(0.3, 0.3, 0.2, 0.2)).runs == ((1, 2),)
 
+    def test_exact_ties_take_fewer_bins(self):
+        # the sorted prefixes 0.375 and 0.625 are equally far from 1/2
+        assert select_sort_pm(dense(0.375, 0.25, 0.25, 0.125)).runs == ((1, 1),)
+        # inside a run: 0.4375 and 0.5625 are equally far from 1/2
+        mass = (0.3125, 0.125, 0.125, 0.125, 0.125, 0.125, 0.0625)
+        assert select_sort_pm(dense(*mass)).runs == ((1, 2),)
+
     def test_non_contiguous_result(self):
         qs = select_sort_pm(dense(0.25, 0.05, 0.25, 0.05, 0.2, 0.2))
         assert qs.runs == ((1, 1), (3, 3))
@@ -129,6 +146,68 @@ class TestSortPM:
             got = set(np.flatnonzero(select_sort_pm(permuted).member_mask(16)))
             expected = {int(np.flatnonzero(perm == i)[0]) for i in members}
             assert got == expected
+
+
+def oracle_sort_pm(mass):
+    """Brute-force sorted matching: the 0-based member set, or None when a
+    near-tie within 1e-12 makes the choice depend on rounding."""
+    order = np.argsort(-mass, kind="stable")  # ties to the smaller index
+    dist = np.abs(np.cumsum(mass[order]) - 0.5)
+    k = int(np.argmin(dist))  # first minimum: ties to the smaller count
+    others = np.delete(dist, k)
+    gaps = np.abs(mass - mass[order[k]])  # other values close to the cut value
+    if (others.size and others.min() - dist[k] < 1e-12) or np.any((gaps > 0) & (gaps < 1e-12)):
+        return None
+    return set(order[: k + 1].tolist())
+
+
+def random_piecewise_constant(rng, n):
+    """Random runs whose values come from a small palette, so equal values
+    recur in runs that are not adjacent."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(1, 20)), replace=False))
+    widths = np.diff(np.concatenate(([0], cuts, [n])))
+    weights = rng.uniform(0.1, 1.0, size=4)[rng.integers(0, 4, size=widths.size)]
+    return np.repeat(weights / np.sum(weights * widths), widths)
+
+
+class TestSortPMKernel:
+    """The run-length kernel against a brute-force oracle, and its
+    invariants along episodes."""
+
+    @pytest.mark.parametrize("family", ["piecewise", "dirichlet"])
+    def test_matches_brute_force_oracle(self, family):
+        rng = np.random.default_rng(41)
+        checked = 0
+        for _ in range(300):
+            if family == "piecewise":
+                mass = random_piecewise_constant(rng, 256)
+            else:
+                mass = rng.dirichlet(np.full(int(rng.integers(2, 200)), rng.uniform(0.2, 2.0)))
+            expected = oracle_sort_pm(mass)
+            if expected is None:
+                continue
+            got = select_sort_pm(PosteriorDense(mass)).member_mask(mass.size)
+            assert set(np.flatnonzero(got).tolist()) == expected
+            checked += 1
+        assert checked >= 270
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runs_are_the_encoding_of_the_vector(self, seed):
+        rng = trial_rng(seed, 0)
+        n = 1 << 10
+        truth = int(rng.integers(1, n + 1))
+        runs = _Runs.uniform(n)
+        for t in range(1, 61):
+            query = select_sort_pm(runs.freeze())
+            flags, size = runs.select()
+            assert runs.query_runs(flags) == query.runs  # engine and public rule agree
+            assert size == query.cardinality
+            member = flags[bisect_right(runs.los, truth) - 1]
+            y = sample_observation(AFFINE, member, size / n, rng)
+            runs.update(flags, y, noise_for_size(AFFINE, size / n))
+            encoded, _ = _Runs.of(runs.expand())
+            assert (encoded.los, encoded.his, encoded.vals) == (runs.los, runs.his, runs.vals)
+            assert len(runs) <= t + 1
 
 
 class TestHeaviestNode:
