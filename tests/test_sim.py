@@ -309,6 +309,22 @@ class TestWorkAccounting:
             assert measured / predicted < 3.0, kind
             assert predicted / measured < 3.0, kind
 
+    def test_sorted_matching_within_nlogn_budget(self):
+        # t queries leave at most t + 1 runs, so an episode of tau steps
+        # touches at most sum(t + 2) runs; per step that sits far inside the
+        # dense n log n budget and does not grow like it between L = 8 and 12
+        per_step = {}
+        for L in (8, 12):
+            cfg = config(L=L, strategy=StrategyKind.SORT_PM, stopping=VariableLength(1e-3), seed=19)
+            recs = [run_episode(cfg, trial_rng(cfg.seed, i)) for i in range(40)]
+            for r in recs:
+                assert r.ops <= r.tau * (r.tau + 3) // 2
+            per_step[L] = sum(r.ops for r in recs) / sum(r.tau for r in recs)
+            assert per_step[L] < 2**L * L
+        measured = per_step[12] / per_step[8]
+        predicted = (2**12 * 12) / (2**8 * 8)
+        assert measured < predicted / 3.0
+
 
 class TestSummaries:
     def test_wilson_reference_values(self):
