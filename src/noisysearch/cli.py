@@ -198,7 +198,11 @@ def parse_args(argv: Sequence[str]) -> RunManifest:
                 values[key] = typ(val)
 
     sub = values["subcommand"]
-    defaults = {"trials": 1000, "seed": 0, "workers": _default_workers(), "format": "csv"}
+    defaults = {
+        f.name: f.default for f in dataclasses.fields(RunManifest)
+        if f.default is not dataclasses.MISSING
+    }
+    defaults["workers"] = _default_workers()
     if sub == "bounds":
         defaults["alpha"] = _DEFAULT_ALPHA
     for key, val in defaults.items():
@@ -229,10 +233,13 @@ def parse_args(argv: Sequence[str]) -> RunManifest:
         if values["workers"] < 1:
             parser.error("--workers must be >= 1")
     if sub == "simulate":
-        if (values["fl"] is None) == (values["vl"] is None):
+        fl, vl = values["fl"], values["vl"]
+        if (fl is None) == (vl is None):
             parser.error("simulate requires exactly one of --fl or --vl")
-        if values["fl"] is not None and not (1 <= values["fl"] <= STEP_CAP):
-            parser.error(f"--fl must be in 1..{STEP_CAP}, got {values['fl']}")
+        try:  # the stopping rule checks its own parameter
+            FixedLength(fl) if fl is not None else VariableLength(vl)
+        except ValueError as exc:
+            parser.error(f"--{'fl' if fl is not None else 'vl'}: {exc}")
         if values["dump_partition"] is not None and values["strategy"] == "sort":
             parser.error("--dump-partition needs a connected-geometry strategy")
     if sub == "sweep":
@@ -241,11 +248,10 @@ def parse_args(argv: Sequence[str]) -> RunManifest:
             parse_n_values(values["n_spec"])
         except ValueError as exc:
             parser.error(str(exc))
-    if sub in ("simulate", "bounds"):
-        if values.get("vl") is not None and not (0.0 < values["vl"] < 1.0):
-            parser.error(f"--vl must be in (0, 1), got {values['vl']}")
     if sub == "bounds":
         require("vl")
+        if not (0.0 < values["vl"] < 1.0):
+            parser.error(f"--vl must be in (0, 1), got {values['vl']}")
         if not (0.0 < values["alpha"] <= 0.5):
             parser.error(f"--alpha must be in (0, 0.5], got {values['alpha']}")
 
@@ -306,18 +312,17 @@ def _print_summary(summary: MonteCarloSummary) -> None:
 
 def _run_manifest(manifest: RunManifest, out: TextIO, dump: Optional[TextIO]) -> None:
     profile = parse_noise(manifest.noise)
-    if manifest.subcommand == "simulate":
-        stopping = (
-            FixedLength(manifest.fl) if manifest.fl is not None
-            else VariableLength(manifest.vl)
-        )
+    if manifest.subcommand in ("simulate", "sweep"):
+        budgets = parse_n_values(manifest.n_spec) if manifest.subcommand == "sweep" else None
+        fl = max(budgets) if budgets else manifest.fl
         config = SearchConfig(
             L=manifest.L,
             strategy=StrategyKind(manifest.strategy),
             profile=profile,
-            stopping=stopping,
+            stopping=FixedLength(fl) if fl is not None else VariableLength(manifest.vl),
             seed=manifest.seed,
         )
+    if manifest.subcommand == "simulate":
         summary = run_monte_carlo(config, manifest.trials, workers=manifest.workers)
         kind = "fl" if manifest.fl is not None else "vl"
         param = manifest.fl if manifest.fl is not None else manifest.vl
@@ -332,16 +337,8 @@ def _run_manifest(manifest: RunManifest, out: TextIO, dump: Optional[TextIO]) ->
             _write_rows(dump, "csv", ("lo", "hi", "mass"), post.intervals)
         _print_summary(summary)
     elif manifest.subcommand == "sweep":
-        config = SearchConfig(
-            L=manifest.L,
-            strategy=StrategyKind(manifest.strategy),
-            profile=profile,
-            stopping=FixedLength(max(parse_n_values(manifest.n_spec))),
-            seed=manifest.seed,
-        )
         results = sweep_error_vs_queries(
-            config, parse_n_values(manifest.n_spec), manifest.trials,
-            workers=manifest.workers,
+            config, budgets, manifest.trials, workers=manifest.workers
         )
         rows = [
             _summary_row(manifest, profile, "fl", n, summary)

@@ -326,7 +326,8 @@ class _Partition:
 
         The straddling interval's mass is divided proportionally to the
         sub-interval widths.  Degenerate cuts at the ends of the range are
-        dropped, never stored with zero width.
+        dropped, never stored with zero width.  ``cums`` is left stale:
+        :meth:`update` rebuilds it before anything reads it.
         """
         los = self.los
         if b <= los[0] or b > self.n:
@@ -338,11 +339,9 @@ class _Partition:
         hi = self.his[j]
         width = hi - lo + 1
         m = self.masses[j]
-        left_m = m * ((b - lo) / width)
         los.insert(j + 1, b)
         self.his.insert(j, b - 1)
-        self.masses[j : j + 1] = [left_m, m * ((hi - b + 1) / width)]
-        self.cums.insert(j, (self.cums[j - 1] if j > 0 else 0.0) + left_m)
+        self.masses[j : j + 1] = [m * ((b - lo) / width), m * ((hi - b + 1) / width)]
 
     def update(self, s1: int, s2: int, y: int, p: float) -> None:
         """Bayes step for the query [s1, s2] answered ``y`` with crossover ``p``.

@@ -60,8 +60,9 @@ class VariableLength:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        # at or below 2**-54, 1 - epsilon rounds to 1 and no peak can exceed it
+        if not (0.0 < self.epsilon < 1.0) or 1.0 - self.epsilon == 1.0:
+            raise ValueError(f"epsilon must be in (2**-54, 1), got {self.epsilon}")
 
 
 StoppingRule = Union[FixedLength, VariableLength]
@@ -191,8 +192,6 @@ def _run(
         if isinstance(config.stopping, VariableLength)
         else None
     )
-    if checkpoints is not None and fl_n is None:
-        raise ValueError("checkpoints require fixed-length stopping")
 
     depth = config.L
     sizes: list[float] = []

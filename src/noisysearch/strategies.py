@@ -101,14 +101,14 @@ class TreeNode:
         )
 
 
-def _best_prefix_end(idx, start: int) -> int:
+def _best_prefix_end(idx, start: int, base: float) -> int:
     """k* = argmin_{k >= start} |mass of [start, k] - 1/2|, ties to smaller k.
 
+    ``base`` is ``idx.prefix(start - 1)``, which the caller already holds.
     The prefix mass is non-decreasing in k, so the argmin sits where it
     crosses the half-mass target; the crossing neighbourhood is evaluated
     exactly to absorb floating-point slop in locating it.
     """
-    base = idx.prefix(start - 1)
     k0 = idx.first_reaching(base + 0.5)
     best_k, best_d = 0, math.inf
     for k in (k0 - 1, k0, k0 + 1):
@@ -122,25 +122,21 @@ def _best_prefix_end(idx, start: int) -> int:
 def _run_for(kind: "StrategyKind", idx, depth: int) -> tuple[int, int]:
     """Contiguous query (s1, s2) for one of the connected-geometry rules."""
     if kind is StrategyKind.MEDIAN_PM:
-        return 1, _best_prefix_end(idx, 1)
+        return 1, _best_prefix_end(idx, 1, 0.0)
     if kind is StrategyKind.DYA_PM:
-        level, m = _heaviest(idx, depth)
+        level, m, pref_lo, _, _ = _heaviest(idx, depth)
         d = m * (1 << (depth - level)) + 1
-        return d, _best_prefix_end(idx, d)
+        return d, _best_prefix_end(idx, d, pref_lo)
     if kind is StrategyKind.HIE_PM:
-        anchor = TreeNode(*_heaviest(idx, depth))
-        candidates = [anchor]
-        if anchor.level < depth:
-            candidates.extend(anchor.children())
-        best = min(
-            candidates,
-            key=lambda nd: (
-                abs(_node_mass(idx, depth, nd.level, nd.index) - 0.5),
-                -nd.level,
-                nd.index,
-            ),
-        )
-        return best.interval(depth)
+        level, m, pref_lo, pref_mid, pref_hi = _heaviest(idx, depth)
+        # (|mass - 1/2|, -level, index) of the anchor and its children
+        candidates = [(abs(pref_hi - pref_lo - 0.5), -level, m)]
+        if level < depth:
+            candidates.append((abs(pref_mid - pref_lo - 0.5), -level - 1, 2 * m))
+            candidates.append((abs(pref_hi - pref_mid - 0.5), -level - 1, 2 * m + 1))
+        _, neg_level, index = min(candidates)
+        width = 1 << (depth + neg_level)
+        return index * width + 1, (index + 1) * width
     raise ValueError(f"no contiguous selection rule for {kind!r}")
 
 
@@ -174,14 +170,14 @@ def _check_dyadic(post: Posterior, depth: int) -> None:
         raise ValueError(f"posterior has {post.n_bins} bins, expected 2**{depth}")
 
 
-def _node_mass(idx, depth: int, level: int, m: int) -> float:
-    width = 1 << (depth - level)
-    lo = m * width + 1
-    return idx.prefix(lo + width - 1) - idx.prefix(lo - 1)
-
-
-def _heaviest(idx, depth: int) -> tuple[int, int]:
+def _heaviest(idx, depth: int) -> tuple:
     """Root-to-leaf descent to the deepest node of mass >= 1/2.
+
+    Returns ``(level, m, pref_lo, pref_mid, pref_hi)``: the node and the
+    prefix masses the descent measured at its ``lo - 1``, at the last bin of
+    its left child and at its ``hi`` (``pref_mid`` is None for a leaf).  They
+    are exactly ``idx.prefix`` at those bins, so callers score the node and
+    its children by subtraction, with no further prefix evaluation.
 
     Node masses are non-increasing along any path, so following a child of
     mass >= 1/2 is safe.  Two siblings can both reach 1/2 only by splitting a
@@ -192,8 +188,7 @@ def _heaviest(idx, depth: int) -> tuple[int, int]:
     per level.
     """
 
-    def descend(level: int, m: int, pref_lo: float, pref_hi: float) -> tuple[int, int]:
-        # pref_lo/pref_hi are prefix masses at (node lo - 1) and (node hi)
+    def descend(level: int, m: int, pref_lo: float, pref_hi: float) -> tuple:
         while level < depth:
             half = 1 << (depth - level - 1)
             mid = m * 2 * half + half  # last bin of the left child
@@ -211,8 +206,8 @@ def _heaviest(idx, depth: int) -> tuple[int, int]:
             elif right >= 0.5:
                 level, m, pref_lo = level + 1, 2 * m + 1, pref_mid
             else:
-                break
-        return level, m
+                return level, m, pref_lo, pref_mid, pref_hi
+        return level, m, pref_lo, None, pref_hi
 
     return descend(0, 0, 0.0, idx.prefix(idx.n))
 
@@ -220,7 +215,7 @@ def _heaviest(idx, depth: int) -> tuple[int, int]:
 def heaviest_node(post: Posterior, depth: int) -> TreeNode:
     """Deepest tree node with mass >= 1/2; the heaviest one at that level."""
     _check_dyadic(post, depth)
-    return TreeNode(*_heaviest(_prefix_index(post), depth))
+    return TreeNode(*_heaviest(_prefix_index(post), depth)[:2])
 
 
 def select_hie_pm(post: Posterior, depth: int) -> QuerySet:

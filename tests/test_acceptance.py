@@ -45,6 +45,9 @@ from noisysearch.strategies import (
 )
 from noisysearch.theory import constant_k_d, constant_k_h, constant_k_s, tau_upper_bound
 
+# the whole file is the slow release gate: `pytest -m "not acceptance"` skips it
+pytestmark = pytest.mark.acceptance
+
 AFFINE = AffineNoise(0.1, 0.5)
 SEED = 20260810
 PROPOSED = (StrategyKind.SORT_PM, StrategyKind.DYA_PM, StrategyKind.HIE_PM)

@@ -88,6 +88,8 @@ class TestParsing:
              "--vl", "0.01", "--out", "x.csv"],  # uninformative: p(1/2) = inf
             ["simulate", "--strategy", "median", "--L", "8", "--noise", "affine:0.1:nan",
              "--vl", "0.01", "--out", "x.csv"],  # uninformative: p(1/2) = nan
+            ["simulate", "--strategy", "dya", "--L", "4", "--noise", "affine:0.1:0.5",
+             "--vl", "1e-17", "--trials", "1", "--out", "x.csv"],  # 1 - eps rounds to 1
         ],
     )
     def test_usage_errors_exit_nonzero(self, argv, tmp_path):
@@ -107,6 +109,8 @@ class TestParsing:
              "--fl", "2000000", "--out", "x.csv"],  # checked after parsing
             ["simulate", "--strategy", "maxejs", "--L", "10", "--noise", "affine:0.1:0.5",
              "--vl", "0.01", "--out", "x.csv"],  # rejected by the subcommand's parser
+            ["simulate", "--strategy", "dya", "--L", "4", "--noise", "affine:0.1:0.5",
+             "--vl", "1e-17", "--trials", "1", "--out", "x.csv"],  # checked by VariableLength
         ],
     )
     def test_usage_error_is_one_line(self, argv, capsys):
@@ -203,6 +207,13 @@ class TestExecution:
                      "--noise", "affine:0.1:0.5", "--vl", "0.001",
                      "--out", str(out)]) == 0
         assert [r["strategy"] for r in read_csv(out)] == ["hie"]
+
+    def test_bounds_take_epsilon_below_the_stopping_floor(self, tmp_path):
+        # a closed form: unlike simulate, it needs no peak to pass 1 - eps
+        out = tmp_path / "bounds_tiny.csv"
+        assert main(["bounds", "--strategy", "hie", "--L", "4", "--noise", "affine:0.1:0.5",
+                     "--vl", "1e-17", "--out", str(out)]) == 0
+        assert float(read_csv(out)[0]["epsilon"]) == 1e-17
 
     def test_frontier_intercept(self, tmp_path):
         out = tmp_path / "frontier.csv"

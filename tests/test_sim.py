@@ -94,6 +94,9 @@ class TestEpisodeBasics:
             VariableLength(0.0)
         with pytest.raises(ValueError):
             VariableLength(1.0)
+        with pytest.raises(ValueError):  # 1 - 1e-17 rounds to 1: no peak could pass it
+            VariableLength(1e-17)
+        VariableLength(1e-16)
         with pytest.raises(ValueError):
             config(target=99)
 

@@ -260,6 +260,18 @@ class TestHiePM:
         # candidates: anchor 0.6, children 0.4 and 0.2 -> tie broken deeper
         assert select_hie_pm(dense(0.4, 0.2, 0.2, 0.2), 2).runs == ((1, 1),)
 
+    def test_sibling_tie_prefers_left_child(self):
+        # anchor 0.8, children 0.4 and 0.4: an exact tie, except in the second
+        # vector, whose prefix sums leave the left child one ulp closer to 1/2
+        assert select_hie_pm(dense(0.4, 0.4, 0.1, 0.1), 2).runs == ((1, 1),)
+        assert select_hie_pm(dense(0.1, 0.1, 0.4, 0.4), 2).runs == ((3, 3),)
+        part = PosteriorPartition.from_intervals([(1, 2, 0.8), (3, 4, 0.2)])
+        assert select_hie_pm(part, 2).runs == ((1, 1),)
+
+    def test_after_the_descent_forks(self):
+        # both level-1 nodes weigh 1/2; only the right one has a heavy child
+        assert select_hie_pm(dense(0.25, 0.25, 0.5, 0.0), 2).runs == ((3, 3),)
+
     def test_query_is_a_tree_node(self):
         rng = np.random.default_rng(41)
         depth = 5
@@ -296,6 +308,10 @@ class TestDyaPM:
 
     def test_anchored_at_heavy_leaf(self):
         assert select_dya_pm(dense(0.1, 0.5, 0.2, 0.2), 2).runs == ((2, 2),)
+
+    def test_after_the_descent_forks(self):
+        # the anchor is leaf 3, right of the fork: dya's base is prefix(2) = 0.5
+        assert select_dya_pm(dense(0.25, 0.25, 0.5, 0.0), 2).runs == ((3, 3),)
 
     def test_prefix_optimality_exhaustive(self):
         rng = np.random.default_rng(47)
