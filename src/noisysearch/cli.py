@@ -20,15 +20,15 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 from .channel import AffineNoise, ConstantNoise, NoiseProfile
 from .errors import NoisySearchError
-from .posterior import PosteriorPartition
 from .sim import (
     STEP_CAP,
     FixedLength,
@@ -103,16 +103,6 @@ def parse_n_values(spec: str) -> list[int]:
     return values
 
 
-def _default_workers() -> int:
-    env = os.environ.get("NS_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one line on stderr, exit status 2."""
 
@@ -120,6 +110,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args and _plan both read it; neither changes it
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(
         prog="noisysearch",
@@ -166,12 +157,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+def _flag_value(action: argparse.Action, val):
+    """``val`` as the type of the flag ``action`` parses; it must already have
+    that type ("12" is not an int) and be one of the flag's choices."""
+    typ = action.type or str
+    allowed = (int, float) if typ is float else typ
+    if isinstance(val, bool) or not isinstance(val, allowed) or (
+        action.choices is not None and val not in action.choices
+    ):
+        raise TypeError(f"value {action.dest!r}: {val!r} is not valid for --{action.dest}")
+    return typ(val)
+
+
 def parse_args(argv: Sequence[str]) -> RunManifest:
     """Parse and validate argv into a manifest; config-file values fill any
-    flag not given explicitly."""
+    flag not given explicitly, then ``NS_WORKERS`` fills ``--workers``."""
     parser, subparsers = _build_parser()
-    ns = parser.parse_args(list(argv))
-    values = vars(ns)
+    values = vars(parser.parse_args(list(argv)))
 
     config_path = values.pop("config", None)
     if config_path is not None:
@@ -182,81 +184,34 @@ def parse_args(argv: Sequence[str]) -> RunManifest:
             parser.error(f"cannot read config file {config_path!r}: {exc}")
         if not isinstance(overrides, dict):
             parser.error(f"config file {config_path!r} must hold a JSON object")
-        actions = {a.dest: a for a in subparsers[ns.subcommand]._actions}
+        actions = {a.dest: a for a in subparsers[values["subcommand"]]._actions}
         for key, val in overrides.items():
             if key not in values or key not in actions:
-                parser.error(f"config file key {key!r} is not a flag of {ns.subcommand}")
-            # a value must already have the flag's type: "12" is not an int
-            typ = actions[key].type or str
-            allowed = (int, float) if typ is float else typ
-            choices = actions[key].choices
-            if isinstance(val, bool) or not isinstance(val, allowed) or (
-                choices is not None and val not in choices
-            ):
-                parser.error(f"config file value {key!r}: {val!r} is not valid for --{key}")
+                parser.error(f"config file key {key!r} is not a flag of {values['subcommand']}")
+            try:
+                val = _flag_value(actions[key], val)
+            except TypeError as exc:
+                parser.error(f"config file {exc}")
             if values[key] is None:
-                values[key] = typ(val)
+                values[key] = val
 
-    sub = values["subcommand"]
-    defaults = {
-        f.name: f.default for f in dataclasses.fields(RunManifest)
-        if f.default is not dataclasses.MISSING
-    }
-    defaults["workers"] = _default_workers()
-    if sub == "bounds":
-        defaults["alpha"] = _DEFAULT_ALPHA
-    for key, val in defaults.items():
-        if key in values and values[key] is None:
-            values[key] = val
-
-    def require(flag: str) -> None:
-        if values.get(flag) is None:
-            parser.error(f"{sub} requires --{flag.replace('_', '-')}")
-
-    require("noise")
-    require("out")
-    try:
-        a, b = _noise_columns(parse_noise(values["noise"]))
-    except ValueError as exc:
-        parser.error(str(exc))
-    if not (a + 0.5 * b < 0.5):
-        parser.error(f"noise {values['noise']!r} is uninformative: p(1/2) must be < 0.5")
-
-    if sub in ("simulate", "sweep", "bounds"):
-        require("L")
-        if not (1 <= values["L"] <= _MAX_L):
-            parser.error(f"--L must be in 1..{_MAX_L}, got {values['L']}")
-    if sub in ("simulate", "sweep"):
-        require("strategy")
-        if values["trials"] < 1:
-            parser.error("--trials must be >= 1")
-        if values["workers"] < 1:
-            parser.error("--workers must be >= 1")
-    if sub == "simulate":
-        fl, vl = values["fl"], values["vl"]
-        if (fl is None) == (vl is None):
-            parser.error("simulate requires exactly one of --fl or --vl")
-        try:  # the stopping rule checks its own parameter
-            FixedLength(fl) if fl is not None else VariableLength(vl)
-        except ValueError as exc:
-            parser.error(f"--{'fl' if fl is not None else 'vl'}: {exc}")
-        if values["dump_partition"] is not None and values["strategy"] == "sort":
-            parser.error("--dump-partition needs a connected-geometry strategy")
-    if sub == "sweep":
-        require("n_spec")
+    env = os.environ.get("NS_WORKERS")
+    if env is not None and "workers" in values and values["workers"] is None:
         try:
-            parse_n_values(values["n_spec"])
-        except ValueError as exc:
-            parser.error(str(exc))
-    if sub == "bounds":
-        require("vl")
-        if not (0.0 < values["vl"] < 1.0):
-            parser.error(f"--vl must be in (0, 1), got {values['vl']}")
-        if not (0.0 < values["alpha"] <= 0.5):
-            parser.error(f"--alpha must be in (0, 0.5], got {values['alpha']}")
+            values["workers"] = int(env)
+        except ValueError:
+            parser.error(f"NS_WORKERS: invalid int value: {env!r}")
+    if values["subcommand"] == "bounds" and values["alpha"] is None:
+        values["alpha"] = _DEFAULT_ALPHA
 
     fields = {f.name for f in dataclasses.fields(RunManifest)}
-    return RunManifest(**{k: v for k, v in values.items() if k in fields})
+    given = {k: v for k, v in values.items() if k in fields and v is not None}
+    manifest = RunManifest(**{"noise": None, "out": None, **given})  # _plan names a missing one
+    try:
+        _plan(manifest)
+    except (ValueError, TypeError) as exc:
+        parser.error(str(exc))
+    return manifest
 
 
 def _fmt(value) -> str:
@@ -310,74 +265,119 @@ def _print_summary(summary: MonteCarloSummary) -> None:
     )
 
 
-def _run_manifest(manifest: RunManifest, out: TextIO, dump: Optional[TextIO]) -> None:
-    profile = parse_noise(manifest.noise)
-    if manifest.subcommand in ("simulate", "sweep"):
-        budgets = parse_n_values(manifest.n_spec) if manifest.subcommand == "sweep" else None
-        fl = max(budgets) if budgets else manifest.fl
-        config = SearchConfig(
-            L=manifest.L,
-            strategy=StrategyKind(manifest.strategy),
-            profile=profile,
-            stopping=FixedLength(fl) if fl is not None else VariableLength(manifest.vl),
-            seed=manifest.seed,
-        )
-    if manifest.subcommand == "simulate":
-        summary = run_monte_carlo(config, manifest.trials, workers=manifest.workers)
-        kind = "fl" if manifest.fl is not None else "vl"
-        param = manifest.fl if manifest.fl is not None else manifest.vl
-        rows = [_summary_row(manifest, profile, kind, param, summary)]
-        _write_rows(out, manifest.format, _SIM_HEADER, rows)
-        if manifest.dump_partition is not None:
+def _plan(m: RunManifest) -> Callable[[TextIO, Optional[TextIO]], None]:
+    """Check a manifest and return the job that runs it, writing ``out`` and,
+    with ``--dump-partition``, ``dump``.  A bad manifest raises ValueError or
+    TypeError with a one-line reason."""
+    sub = m.subcommand
+    subparsers = _build_parser()[1]
+    if sub not in subparsers:
+        raise ValueError(f"unknown subcommand {sub!r}")
+    actions = {a.dest: a for a in subparsers[sub]._actions}
+    for field in dataclasses.fields(RunManifest):
+        val = getattr(m, field.name)
+        if field.name in actions:  # None stands for a flag not given, if it has no default
+            if val is not None or field.default not in (None, dataclasses.MISSING):
+                _flag_value(actions[field.name], val)
+        elif field.name != "subcommand" and val != field.default:
+            raise ValueError(f"{sub} takes no --{field.name.replace('_', '-')}")
+
+    def require(flag: str) -> None:
+        if getattr(m, flag) is None:
+            raise ValueError(f"{sub} requires --{flag.replace('_', '-')}")
+
+    require("noise")
+    require("out")
+    profile = parse_noise(m.noise)
+    a, b = _noise_columns(profile)
+    if not (a + 0.5 * b < 0.5):
+        raise ValueError(f"noise {m.noise!r} is uninformative: p(1/2) must be < 0.5")
+
+    if sub == "frontier":
+        def frontier(out: TextIO, dump: Optional[TextIO]) -> None:
+            rows = [(cls.value, r, e) for cls in FrontierClass
+                    for r, e in rate_reliability_frontier(profile, cls)]
+            _write_rows(out, m.format, ("class", "R", "E"), rows)
+            print(f"wrote {len(rows)} frontier points to {m.out}")
+        return frontier
+
+    require("L")
+    if not (1 <= m.L <= _MAX_L):
+        raise ValueError(f"--L must be in 1..{_MAX_L}, got {m.L}")
+
+    if sub == "bounds":
+        require("vl")
+        if not (0.0 < m.vl < 1.0):
+            raise ValueError(f"--vl must be in (0, 1), got {m.vl}")
+        require("alpha")
+        if not (0.0 < m.alpha <= 0.5):
+            raise ValueError(f"--alpha must be in (0, 0.5], got {m.alpha}")
+
+        def bounds(out: TextIO, dump: Optional[TextIO]) -> None:
+            header = (
+                "strategy", "delta", "epsilon", "alpha", "K", "rate_term",
+                "reliability_term", "residual", "tau_upper",
+            )
+            rows = []
+            for name in [m.strategy] if m.strategy else _BOUND_STRATEGY_NAMES:
+                rep = tau_upper_bound(StrategyKind(name), profile, 2.0 ** -m.L, m.vl, m.alpha)
+                rows.append((
+                    name, rep.delta, rep.epsilon, rep.alpha, rep.constant,
+                    rep.rate_term, rep.reliability_term, rep.residual, rep.tau_upper,
+                ))
+            _write_rows(out, m.format, header, rows)
+            print(f"wrote {len(rows)} bound reports to {m.out}")
+        return bounds
+
+    require("strategy")
+    if m.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    if m.workers < 1:
+        raise ValueError("--workers must be >= 1")
+
+    search = functools.partial(SearchConfig, L=m.L, strategy=StrategyKind(m.strategy),
+                               profile=profile, seed=m.seed)
+
+    if sub == "sweep":
+        require("n_spec")
+        budgets = parse_n_values(m.n_spec)
+        config = search(stopping=FixedLength(max(budgets)))
+
+        def sweep(out: TextIO, dump: Optional[TextIO]) -> None:
+            results = sweep_error_vs_queries(config, budgets, m.trials, workers=m.workers)
+            rows = [_summary_row(m, profile, "fl", n, summary) for n, summary in results]
+            _write_rows(out, m.format, _SIM_HEADER, rows)
+            print(f"wrote {len(rows)} budgets; at n={results[-1][0]}: ", end="")
+            _print_summary(results[-1][1])
+        return sweep
+
+    if (m.fl is None) == (m.vl is None):
+        raise ValueError("simulate requires exactly one of --fl or --vl")
+    kind, param = ("fl", m.fl) if m.fl is not None else ("vl", m.vl)
+    try:  # the stopping rule checks its own parameter
+        config = search(stopping=FixedLength(m.fl) if kind == "fl" else VariableLength(m.vl))
+    except ValueError as exc:
+        raise ValueError(f"--{kind}: {exc}") from None
+    if m.dump_partition is not None and m.strategy == "sort":
+        raise ValueError("--dump-partition needs a connected-geometry strategy")
+
+    def simulate(out: TextIO, dump: Optional[TextIO]) -> None:
+        summary = run_monte_carlo(config, m.trials, workers=m.workers)
+        _write_rows(out, m.format, _SIM_HEADER, [_summary_row(m, profile, kind, param, summary)])
+        if dump is not None:
             post = episode_final_posterior(config)
-            if not isinstance(post, PosteriorPartition):
-                raise NoisySearchError(
-                    "--dump-partition needs a connected-geometry strategy"
-                )
             _write_rows(dump, "csv", ("lo", "hi", "mass"), post.intervals)
         _print_summary(summary)
-    elif manifest.subcommand == "sweep":
-        results = sweep_error_vs_queries(
-            config, budgets, manifest.trials, workers=manifest.workers
-        )
-        rows = [
-            _summary_row(manifest, profile, "fl", n, summary)
-            for n, summary in results
-        ]
-        _write_rows(out, manifest.format, _SIM_HEADER, rows)
-        print(f"wrote {len(rows)} budgets; at n={results[-1][0]}: ", end="")
-        _print_summary(results[-1][1])
-    elif manifest.subcommand == "bounds":
-        names = [manifest.strategy] if manifest.strategy else list(_BOUND_STRATEGY_NAMES)
-        delta = 2.0 ** -manifest.L
-        header = (
-            "strategy", "delta", "epsilon", "alpha", "K", "rate_term",
-            "reliability_term", "residual", "tau_upper",
-        )
-        rows = []
-        for name in names:
-            rep = tau_upper_bound(
-                StrategyKind(name), profile, delta, manifest.vl, manifest.alpha
-            )
-            rows.append((
-                name, rep.delta, rep.epsilon, rep.alpha, rep.constant,
-                rep.rate_term, rep.reliability_term, rep.residual, rep.tau_upper,
-            ))
-        _write_rows(out, manifest.format, header, rows)
-        print(f"wrote {len(rows)} bound reports to {manifest.out}")
-    elif manifest.subcommand == "frontier":
-        rows = []
-        for cls in FrontierClass:
-            for r, e in rate_reliability_frontier(profile, cls):
-                rows.append((cls.value, r, e))
-        _write_rows(out, manifest.format, ("class", "R", "E"), rows)
-        print(f"wrote {len(rows)} frontier points to {manifest.out}")
-    else:
-        raise NoisySearchError(f"unknown subcommand {manifest.subcommand!r}")
+    return simulate
 
 
 def execute(manifest: RunManifest) -> int:
-    """Run the manifest; returns the process exit status."""
+    """Check and run the manifest; returns the process exit status."""
+    try:
+        job = _plan(manifest)
+    except (ValueError, TypeError) as exc:
+        print(f"noisysearch: error: {exc}", file=sys.stderr)
+        return 2
     try:
         # opened before any computation, so an unwritable path costs no run
         with open(manifest.out, "w", encoding="utf-8", newline="") as out, (
@@ -385,7 +385,7 @@ def execute(manifest: RunManifest) -> int:
             if manifest.dump_partition is not None
             else contextlib.nullcontext()
         ) as dump:
-            _run_manifest(manifest, out, dump)
+            job(out, dump)
     except OSError as exc:
         print(f"noisysearch: i/o error: {exc}", file=sys.stderr)
         return 2
@@ -396,8 +396,7 @@ def execute(manifest: RunManifest) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    manifest = parse_args(sys.argv[1:] if argv is None else argv)
-    return execute(manifest)
+    return execute(parse_args(sys.argv[1:] if argv is None else argv))
 
 
 if __name__ == "__main__":

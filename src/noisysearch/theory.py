@@ -118,7 +118,7 @@ def constant_k_d(profile: NoiseProfile) -> float:
     """
     pair = _pair_at_half(profile)
     branch1 = _grid_golden_min(lambda r: max(_dya_f(r, pair), _dya_g(r, pair)), 0.0, 0.25)
-    branch2 = _grid_golden_min(lambda r: _dya_f(r, pair), 0.25, 0.5)
+    branch2 = _dya_f(0.25, pair)  # f = rho * D with D >= 0 is least at the left end
     branch3 = 0.25 * kl_bernoulli(pair.mix(0.25), pair.p0)
     return min(branch1, branch2, branch3)
 

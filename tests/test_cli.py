@@ -90,9 +90,17 @@ class TestParsing:
              "--vl", "0.01", "--out", "x.csv"],  # uninformative: p(1/2) = nan
             ["simulate", "--strategy", "dya", "--L", "4", "--noise", "affine:0.1:0.5",
              "--vl", "1e-17", "--trials", "1", "--out", "x.csv"],  # 1 - eps rounds to 1
+            ["NS_WORKERS=abc", "simulate", "--strategy", "dya", "--L", "4",
+             "--noise", "affine:0.1:0.5", "--vl", "0.01", "--out", "x.csv"],  # not an int
+            ["NS_WORKERS=0", "simulate", "--strategy", "dya", "--L", "4",
+             "--noise", "affine:0.1:0.5", "--vl", "0.01", "--out", "x.csv"],  # no worker
         ],
     )
-    def test_usage_errors_exit_nonzero(self, argv, tmp_path):
+    def test_usage_errors_exit_nonzero(self, argv, tmp_path, monkeypatch):
+        while "=" in argv[0]:  # a leading NAME=VALUE sets an environment variable
+            name, value = argv[0].split("=", 1)
+            monkeypatch.setenv(name, value)
+            argv = argv[1:]
         if "--config" in argv:  # the value after --config is the file's JSON text
             i = argv.index("--config") + 1
             cfg = tmp_path / "cfg.json"
@@ -262,15 +270,49 @@ class TestExecution:
         assert sum(float(r["mass"]) for r in rows) == pytest.approx(1.0, abs=1e-9)
 
     def test_dump_partition_rejected_for_dense_strategy(self, tmp_path, capsys):
-        # parse_args rejects this combination; a manifest built without it
-        # still fails cleanly in execute
+        # a manifest built without parse_args meets the same check in execute
         manifest = RunManifest(
             subcommand="simulate", noise="affine:0.1:0.5", out=str(tmp_path / "s.csv"),
             strategy="sort", L=6, vl=0.01, trials=5, seed=3,
             dump_partition=str(tmp_path / "p.csv"),
         )
-        assert execute(manifest) == 3
-        assert "internal error" in capsys.readouterr().err
+        assert execute(manifest) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ": error: " in err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize(
+        "via_json, fields",
+        [
+            pytest.param(False, {"noise": "constant:0.5"}, id="uninformative-noise"),
+            pytest.param(False, {"vl": 1e-17}, id="vl-rounds-to-one"),
+            pytest.param(False, {"trials": 0}, id="no-trials"),
+            pytest.param(False, {"workers": 0}, id="no-workers"),
+            pytest.param(False, {"seed": None}, id="no-seed"),
+            pytest.param(False, {"subcommand": "sweep", "vl": None, "n_spec": "0,5"},
+                         id="sweep-zero-budget"),
+            pytest.param(False, {"subcommand": "bounds", "strategy": "median",
+                                 "alpha": 0.015625}, id="bounds-median"),
+            pytest.param(False, {"subcommand": "nope"}, id="unknown-subcommand"),
+            pytest.param(False, {"format": "xml"}, id="unknown-format"),
+            pytest.param(True, {"L": "12"}, id="from-json-string-L"),
+        ],
+    )
+    def test_bad_manifest_is_a_usage_error(self, via_json, fields, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a bad manifest must not start a run")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", no_run)
+        monkeypatch.setattr(cli, "sweep_error_vs_queries", no_run)
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier,results\n")
+        spec = {"subcommand": "simulate", "noise": "affine:0.1:0.5", "out": str(out),
+                "strategy": "dya", "L": 4, "vl": 0.01, **fields}
+        manifest = RunManifest.from_json(json.dumps(spec)) if via_json else RunManifest(**spec)
+        assert execute(manifest) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ": error: " in err
+        assert out.read_bytes() == b"earlier,results\n"
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         code = main(["simulate", "--strategy", "dya", "--L", "5",
