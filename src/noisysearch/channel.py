@@ -133,13 +133,18 @@ def sample_observation(
     size_fraction: float,
     rng: np.random.Generator,
 ) -> int:
-    """One channel use: returns ``1(target_in_set) XOR z`` with ``z ~ Bern(p)``.
+    """One channel use: returns ``1(target_in_set) XOR z`` with ``z ~ Bern(p)``,
+    where ``p = noise_for_size(profile, size_fraction)``.
 
     Consumes exactly one uniform draw from ``rng``.
     """
-    p = noise_for_size(profile, size_fraction)
-    z = rng.random() < p
-    return int(target_in_set) ^ int(z)
+    return _observe(noise_for_size(profile, size_fraction), target_in_set, rng)
+
+
+def _observe(p: float, target_in_set: bool, rng: np.random.Generator) -> int:
+    """:func:`sample_observation` at a crossover ``p`` already evaluated, for
+    a caller that also needs ``p`` (the Bayes update); one uniform draw."""
+    return int(target_in_set) ^ int(rng.random() < p)
 
 
 def binary_entropy(q: float) -> float:

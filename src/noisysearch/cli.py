@@ -165,8 +165,19 @@ def _flag_value(action: argparse.Action, val):
     if isinstance(val, bool) or not isinstance(val, allowed) or (
         action.choices is not None and val not in action.choices
     ):
-        raise TypeError(f"value {action.dest!r}: {val!r} is not valid for --{action.dest}")
+        raise TypeError(
+            f"value {action.dest!r}: {val!r} is not valid for {action.option_strings[0]}"
+        )
     return typ(val)
+
+
+def _option(dest: str) -> str:
+    """The option string of the flag that sets the manifest field ``dest``."""
+    for subparser in _build_parser()[1].values():
+        for action in subparser._actions:
+            if action.dest == dest:
+                return action.option_strings[0]
+    raise KeyError(dest)
 
 
 def parse_args(argv: Sequence[str]) -> RunManifest:
@@ -280,11 +291,11 @@ def _plan(m: RunManifest) -> Callable[[TextIO, Optional[TextIO]], None]:
             if val is not None or field.default not in (None, dataclasses.MISSING):
                 _flag_value(actions[field.name], val)
         elif field.name != "subcommand" and val != field.default:
-            raise ValueError(f"{sub} takes no --{field.name.replace('_', '-')}")
+            raise ValueError(f"{sub} takes no {_option(field.name)}")
 
-    def require(flag: str) -> None:
-        if getattr(m, flag) is None:
-            raise ValueError(f"{sub} requires --{flag.replace('_', '-')}")
+    def require(field: str) -> None:
+        if getattr(m, field) is None:
+            raise ValueError(f"{sub} requires {_option(field)}")
 
     require("noise")
     require("out")

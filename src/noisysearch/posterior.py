@@ -394,6 +394,11 @@ class _Partition:
         count = math.ceil((target - before) * width / mass)
         return lo + min(max(count, 1), width) - 1
 
+    def peak_bound(self) -> float:
+        """An upper bound on :meth:`peak`'s mass, without its scan: the
+        largest interval mass, since ``fl(m / w) <= m`` for a width ``w >= 1``."""
+        return max(self.masses)
+
     def peak(self) -> tuple[float, int]:
         """(max single-bin mass, 1-based bin index of its first occurrence)."""
         best, best_lo = -1.0, 1
@@ -514,6 +519,10 @@ class _Runs:
                 his.append(hi)
                 vals.append(v)
         self.los, self.his, self.vals = los, his, vals
+
+    def peak_bound(self) -> float:
+        """:meth:`peak`'s mass itself, without the search for its index."""
+        return max(self.vals)
 
     def peak(self) -> tuple[float, int]:
         """(max single-bin mass, 1-based bin index of its first occurrence)."""

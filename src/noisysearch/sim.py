@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import NoiseProfile, noise_for_size, sample_observation
+from .channel import NoiseProfile, _observe, noise_for_size
 from .errors import CapExceededError, ContractViolationError
 from .posterior import Posterior, _Partition, _Runs
 from .strategies import StrategyKind, _run_for
@@ -163,7 +163,16 @@ def _run(
     checkpoints: Optional[tuple[int, ...]],
 ) -> tuple[EpisodeRecord, Union[_Partition, _Runs]]:
     """One episode; returns its record and the final kernel state (frozen
-    only on request, so sortPM never holds the ``n``-entry vector)."""
+    only on request, so sortPM never holds the ``n``-entry vector).
+
+    Each step evaluates the channel once, for both the observation and the
+    update.  The kernel's O(#intervals) ``peak()`` scan runs only on steps
+    that read the peak or the argmax: a traced step, a checkpoint, the
+    fixed-length horizon, and a variable-length step whose largest interval
+    mass (``peak_bound()``, an upper bound on every bin's mass) exceeds
+    ``1 - eps``.  On any other step the peak cannot pass the threshold, so
+    the record is the one a scan on every step would give.
+    """
     n = config.n_bins
     profile = config.profile
     kind = config.strategy
@@ -187,20 +196,17 @@ def _run(
         return rec, state
 
     fl_n = config.stopping.n if isinstance(config.stopping, FixedLength) else None
-    vl_threshold = (
-        1.0 - config.stopping.epsilon
-        if isinstance(config.stopping, VariableLength)
-        else None
-    )
+    # a fixed-length run never stops on the peak
+    threshold = math.inf if fl_n is not None else 1.0 - config.stopping.epsilon
+    cps = checkpoints or ()
 
     depth = config.L
     sizes: list[float] = []
     max_trace: list[float] = [] if trace else None
     cp_estimates: list[int] = [] if checkpoints is not None else None
     ops = 0
-    tau = 0
 
-    for t in range(STEP_CAP):
+    for tau in range(1, STEP_CAP + 1):
         # query: the kernel's own form of the query set, as update arguments
         if sort:
             flags, size = state.select()
@@ -212,21 +218,24 @@ def _run(
             member = s1 <= truth <= s2
             query = (s1, s2)
         frac = size / n
-        y = sample_observation(profile, member, frac, rng)
-        state.update(*query, y, noise_for_size(profile, frac))
-        _lemma_bound_check(len(state), t + 1, cuts_per_step)
-        ops += len(state)
-        peak, estimate = state.peak()
-        tau = t + 1
+        p = noise_for_size(profile, frac)
+        state.update(*query, _observe(p, member, rng), p)
+        k = len(state)
+        if k > cuts_per_step * tau + 1:
+            _lemma_bound_check(k, tau, cuts_per_step)
+        ops += k
         sizes.append(frac)
-        if trace:
-            max_trace.append(peak)
-        if cp_estimates is not None and tau in checkpoints:
-            cp_estimates.append(estimate)
-        if fl_n is not None and tau == fl_n:
-            break
-        if vl_threshold is not None and peak > vl_threshold:
-            break
+        if (
+            tau == fl_n or trace or tau in cps
+            or (fl_n is None and state.peak_bound() > threshold)
+        ):
+            peak, estimate = state.peak()
+            if trace:
+                max_trace.append(peak)
+            if tau in cps:
+                cp_estimates.append(estimate)
+            if tau == fl_n or peak > threshold:
+                break
     else:
         raise CapExceededError(f"episode exceeded {STEP_CAP} steps without stopping")
 

@@ -129,6 +129,26 @@ class TestParsing:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert err.startswith("noisysearch") and ": error: " in err
 
+    @pytest.mark.parametrize(
+        "argv, config, option",
+        [
+            (["sweep"], None, "--n"),  # sweep requires --n
+            (["sweep"], {"n_spec": 5}, "--n"),  # budgets are a string
+            (["simulate", "--vl", "0.01"], {"dump_partition": 5}, "--dump-partition"),
+        ],
+    )
+    def test_usage_error_names_the_option(self, argv, config, option, tmp_path, capsys):
+        argv = argv + ["--strategy", "dya", "--L", "8", "--noise", "affine:0.1:0.5",
+                       "--out", "x.csv"]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f" {option}\n")
+
     def test_config_file_merge_flags_win(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"strategy": "dya", "L": 9, "trials": 77, "seed": 5}))

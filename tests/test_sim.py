@@ -3,13 +3,14 @@
 import dataclasses
 import math
 from concurrent.futures import Future
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from noisysearch import sim
 from noisysearch.channel import AffineNoise, ConstantNoise
-from noisysearch.errors import CapExceededError
+from noisysearch.errors import CapExceededError, ContractViolationError
 from noisysearch.posterior import PosteriorPartition
 from noisysearch.sim import (
     EpisodeRecord,
@@ -199,6 +200,69 @@ class TestEngineMatchesPublicApi:
             assert rec.query_sizes == tuple(sizes)
             assert rec.max_posterior_trace == tuple(peaks)
             assert rec.estimate == post.argmax
+
+
+class TestGatedPeakScan:
+    """The engine scans for the peak only on steps that read it; a traced
+    run scans on every step, so it is the reference."""
+
+    SWEEP = tuple(range(10, 61, 5))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("L", (12, 20))
+    @pytest.mark.parametrize("fixed", (False, True), ids=("vl", "fl"))
+    def test_untraced_equals_traced(self, kind, L, fixed):
+        stopping = FixedLength(self.SWEEP[-1]) if fixed else VariableLength(1e-3)
+        cps = self.SWEEP if fixed else None
+        cfg = config(L=L, strategy=kind, stopping=stopping, seed=41)
+        for i in range(20):
+            plain = run_episode(cfg, trial_rng(cfg.seed, i), checkpoint_steps=cps)
+            traced = run_episode(cfg, trial_rng(cfg.seed, i), trace=True, checkpoint_steps=cps)
+            assert plain == dataclasses.replace(traced, max_posterior_trace=None), i
+
+    @pytest.fixture
+    def peak_calls(self, monkeypatch):
+        calls = []
+        for kernel in (sim._Partition, sim._Runs):
+            def counted(state, _peak=kernel.peak):
+                calls.append(1)
+                return _peak(state)
+
+            monkeypatch.setattr(kernel, "peak", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_variable_length_scans_only_steps_that_can_stop(self, kind, peak_calls):
+        # only the last few steps can hold an interval of mass above 1 - eps
+        cfg = config(L=12, strategy=kind, seed=43)
+        trials, calls = 10, 0
+        for i in range(trials):
+            del peak_calls[:]
+            rec = run_episode(cfg, trial_rng(cfg.seed, i))
+            assert len(peak_calls) < rec.tau, i
+            calls += len(peak_calls)
+        assert trials <= calls <= 2 * trials  # the stopping steps scan
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_sweep_scans_once_per_checkpoint(self, kind, peak_calls):
+        cfg = config(L=12, strategy=kind, stopping=FixedLength(self.SWEEP[-1]), seed=47)
+        sweep_error_vs_queries(cfg, self.SWEEP, 5)
+        assert len(peak_calls) == 5 * len(self.SWEEP)
+
+    def test_interval_count_check_fires(self, monkeypatch):
+        # dyaPM's single-bin queries cut twice, so one more interval breaks 2t + 1
+        update = sim._Partition.update
+
+        def update_and_split(self, *args):
+            update(self, *args)
+            j = max(range(len(self)), key=lambda u: self.his[u] - self.los[u])
+            self.cut((self.los[j] + self.his[j] + 1) // 2)  # one interval more
+            self.cums = list(accumulate(self.masses))
+
+        monkeypatch.setattr(sim._Partition, "update", update_and_split)
+        cfg = config(L=10, strategy=StrategyKind.DYA_PM, stopping=FixedLength(40), seed=53)
+        with pytest.raises(ContractViolationError):
+            run_episode(cfg, trial_rng(cfg.seed, 0))
 
 
 class TestCheckpointPrefixProperty:
