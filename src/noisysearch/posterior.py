@@ -354,24 +354,33 @@ class _Partition:
         self.cut(s1)
         self.cut(s2 + 1)
         i1 = bisect_left(self.los, s1)
-        i2 = bisect_left(self.his, s2)
+        i2 = bisect_left(self.his, s2) + 1
         masses = self.masses
-        new = [m * out_lik for m in masses[:i1]]
-        new += [m * in_lik for m in masses[i1 : i2 + 1]]
-        new += [m * out_lik for m in masses[i2 + 1 :]]
+        head, query, tail = masses[:i1], masses[i1:i2], masses[i2:]
         total = 0.0
-        for v in new:  # in order: the sum must not depend on the Python version
-            total += v
+        # in order: the sum must not depend on the Python version
+        for m in head:
+            total += m * out_lik
+        for m in query:
+            total += m * in_lik
+        for m in tail:
+            total += m * out_lik
         if total <= 0.0:
             raise ZeroLikelihoodError("all posterior mass has zero likelihood")
-        self.masses = [v / total for v in new]
-        self.cums = list(accumulate(self.masses))
+        new = [m * out_lik / total for m in head]
+        new += [m * in_lik / total for m in query]
+        new += [m * out_lik / total for m in tail]
+        self.masses = new
+        self.cums = list(accumulate(new))
 
     def prefix(self, k: int) -> float:
         """Total mass of bins 1..k (0 for k <= 0)."""
         if k <= 0:
             return 0.0
-        j = bisect_left(self.his, k)
+        return self.prefix_in(bisect_left(self.his, k), k)
+
+    def prefix_in(self, j: int, k: int) -> float:
+        """:meth:`prefix` at a bin ``k`` of interval ``j``, without the search."""
         if k == self.his[j]:
             return self.cums[j]
         before = self.cums[j - 1] if j > 0 else 0.0
@@ -379,20 +388,21 @@ class _Partition:
         width = self.his[j] - lo + 1
         return before + self.masses[j] * ((k - lo + 1) / width)
 
-    def first_reaching(self, target: float) -> int:
-        """Smallest k with prefix(k) >= target, clamped to n."""
+    def first_reaching(self, target: float) -> tuple[int, int]:
+        """Smallest k with prefix(k) >= target, clamped to n, and the
+        interval that holds it."""
         cums = self.cums
         j = bisect_left(cums, target)
         if j >= len(cums):
-            return self.n
+            return self.n, len(cums) - 1
         before = cums[j - 1] if j > 0 else 0.0
         mass = self.masses[j]
         lo = self.los[j]
         width = self.his[j] - lo + 1
         if mass <= 0.0:
-            return lo
+            return lo, j
         count = math.ceil((target - before) * width / mass)
-        return lo + min(max(count, 1), width) - 1
+        return lo + min(max(count, 1), width) - 1, j
 
     def peak_bound(self) -> float:
         """An upper bound on :meth:`peak`'s mass, without its scan: the

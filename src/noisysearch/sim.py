@@ -25,7 +25,7 @@ import numpy as np
 from .channel import NoiseProfile, _observe, noise_for_size
 from .errors import CapExceededError, ContractViolationError
 from .posterior import Posterior, _Partition, _Runs
-from .strategies import StrategyKind, _run_for
+from .strategies import _ROOT, StrategyKind, _run_for
 
 __all__ = [
     "FixedLength",
@@ -165,8 +165,10 @@ def _run(
     """One episode; returns its record and the final kernel state (frozen
     only on request, so sortPM never holds the ``n``-entry vector).
 
-    Each step evaluates the channel once, for both the observation and the
-    update.  The kernel's O(#intervals) ``peak()`` scan runs only on steps
+    The channel is evaluated once per query size, for both the observation
+    and the update, and each connected-rule step starts its heavy-node
+    descent from the previous step's node (:func:`strategies._heaviest`).
+    The kernel's O(#intervals) ``peak()`` scan runs only on steps
     that read the peak or the argmax: a traced step, a checkpoint, the
     fixed-length horizon, and a variable-length step whose largest interval
     mass (``peak_bound()``, an upper bound on every bin's mass) exceeds
@@ -201,6 +203,8 @@ def _run(
     cps = checkpoints or ()
 
     depth = config.L
+    node = _ROOT  # the last heavy node, where the next descent starts
+    noise: dict[int, float] = {}  # crossover by query size, in bins
     sizes: list[float] = []
     max_trace: list[float] = [] if trace else None
     cp_estimates: list[int] = [] if checkpoints is not None else None
@@ -213,12 +217,14 @@ def _run(
             member = flags[bisect_right(state.los, truth) - 1]
             query = (flags,)
         else:
-            s1, s2 = _run_for(kind, state, depth)
+            s1, s2, node = _run_for(kind, state, depth, node)
             size = s2 - s1 + 1
             member = s1 <= truth <= s2
             query = (s1, s2)
         frac = size / n
-        p = noise_for_size(profile, frac)
+        p = noise.get(size)
+        if p is None:
+            p = noise[size] = noise_for_size(profile, frac)
         state.update(*query, _observe(p, member, rng), p)
         k = len(state)
         if k > cuts_per_step * tau + 1:
@@ -260,6 +266,10 @@ def run_episode(
     checkpoint_steps: Optional[Sequence[int]] = None,
 ) -> EpisodeRecord:
     """Run one search episode to completion.
+
+    The episode draws from ``rng`` one integer for the target (unless the
+    config fixes it) and then one uniform per query, the channel's noise, in
+    query order; nothing else.
 
     With ``checkpoint_steps`` (fixed-length runs only), the posterior argmax
     is also recorded after each listed step, which is exactly what a shorter

@@ -55,6 +55,12 @@ __all__ = [
     "nested_loglik",
 ]
 
+# The root of the dyadic tree, where a cold heavy-node descent starts.
+_ROOT = (0, 0)
+# A warm heavy-node descent climbs from its start node while the node weighs
+# less than 1/2 + this margin; _heaviest proves the result is the root's.
+_HEAVY_MARGIN = 2.0**-20
+
 # Near-certain posteriors are evaluated with this floor on 1 - pi_i so the
 # extrinsic mixture stays defined; an entry exactly 1 still yields +inf.
 _EJS_DENOM_FLOOR = 1e-12
@@ -107,28 +113,32 @@ def _best_prefix_end(idx, start: int, base: float) -> int:
     ``base`` is ``idx.prefix(start - 1)``, which the caller already holds.
     The prefix mass is non-decreasing in k, so the argmin sits where it
     crosses the half-mass target; the crossing neighbourhood is evaluated
-    exactly to absorb floating-point slop in locating it.
+    exactly to absorb floating-point slop in locating it.  Its bins lie in
+    the crossing interval or the ones next to it, so no further search runs.
     """
-    k0 = idx.first_reaching(base + 0.5)
+    k0, j = idx.first_reaching(base + 0.5)
     best_k, best_d = 0, math.inf
     for k in (k0 - 1, k0, k0 + 1):
         if start <= k <= idx.n:
-            d = abs(idx.prefix(k) - base - 0.5)
+            i = j - (k < idx.los[j]) + (k > idx.his[j])
+            d = abs(idx.prefix_in(i, k) - base - 0.5)
             if d < best_d:
                 best_k, best_d = k, d
     return best_k
 
 
-def _run_for(kind: "StrategyKind", idx, depth: int) -> tuple[int, int]:
-    """Contiguous query (s1, s2) for one of the connected-geometry rules."""
+def _run_for(kind: "StrategyKind", idx, depth: int, start: tuple = _ROOT) -> tuple:
+    """Contiguous query ``(s1, s2, node)`` for one of the connected-geometry
+    rules; ``node`` is the heavy node ``(level, index)`` the descent reached
+    (the root for median), which a next step may pass back as ``start``."""
     if kind is StrategyKind.MEDIAN_PM:
-        return 1, _best_prefix_end(idx, 1, 0.0)
+        return 1, _best_prefix_end(idx, 1, 0.0), _ROOT
     if kind is StrategyKind.DYA_PM:
-        level, m, pref_lo, _, _ = _heaviest(idx, depth)
+        level, m, pref_lo, _, _ = _heaviest(idx, depth, start)
         d = m * (1 << (depth - level)) + 1
-        return d, _best_prefix_end(idx, d, pref_lo)
+        return d, _best_prefix_end(idx, d, pref_lo), (level, m)
     if kind is StrategyKind.HIE_PM:
-        level, m, pref_lo, pref_mid, pref_hi = _heaviest(idx, depth)
+        level, m, pref_lo, pref_mid, pref_hi = _heaviest(idx, depth, start)
         # (|mass - 1/2|, -level, index) of the anchor and its children
         candidates = [(abs(pref_hi - pref_lo - 0.5), -level, m)]
         if level < depth:
@@ -136,14 +146,15 @@ def _run_for(kind: "StrategyKind", idx, depth: int) -> tuple[int, int]:
             candidates.append((abs(pref_hi - pref_mid - 0.5), -level - 1, 2 * m + 1))
         _, neg_level, index = min(candidates)
         width = 1 << (depth + neg_level)
-        return index * width + 1, (index + 1) * width
+        return index * width + 1, (index + 1) * width, (level, m)
     raise ValueError(f"no contiguous selection rule for {kind!r}")
 
 
 def _select_connected(kind: StrategyKind, post: Posterior, depth: int) -> QuerySet:
     if kind is not StrategyKind.MEDIAN_PM:
         _check_dyadic(post, depth)
-    return QuerySet.from_run(*_run_for(kind, _prefix_index(post), depth))
+    s1, s2, _ = _run_for(kind, _prefix_index(post), depth)
+    return QuerySet.from_run(s1, s2)
 
 
 def select_median_pm(post: Posterior) -> QuerySet:
@@ -170,8 +181,9 @@ def _check_dyadic(post: Posterior, depth: int) -> None:
         raise ValueError(f"posterior has {post.n_bins} bins, expected 2**{depth}")
 
 
-def _heaviest(idx, depth: int) -> tuple:
-    """Root-to-leaf descent to the deepest node of mass >= 1/2.
+def _heaviest(idx, depth: int, start: tuple = _ROOT) -> tuple:
+    """Descent to the deepest node of mass >= 1/2, from the root or, warm,
+    from the node ``start = (level, index)``.
 
     Returns ``(level, m, pref_lo, pref_mid, pref_hi)``: the node and the
     prefix masses the descent measured at its ``lo - 1``, at the last bin of
@@ -186,6 +198,21 @@ def _heaviest(idx, depth: int) -> tuple:
     root-to-leaf paths are ever walked.  A node's end-point prefixes are
     inherited from its parent, leaving one prefix evaluation (the midpoint)
     per level.
+
+    A warm start reads the prefix at both ends of ``start`` and moves up to
+    the parent (one new prefix: they share an end) while the node's mass is
+    below ``1/2 + _HEAVY_MARGIN``; from the root, or from a node at least
+    that heavy, it descends as above.  The result is the root descent's.
+    Proof: ``prefix`` is non-decreasing in ``k`` in floating point, and
+    rounding a difference is monotone, so no node weighs less than one of
+    its descendants.  Two disjoint nodes measure at most
+    ``(1 + u) * cums[-1] <= 1 + (2K + 2) u`` together, with ``u = 2**-53``
+    and ``K <= 2 * STEP_CAP + 1`` intervals in an episode: below 4.5e-10
+    above 1.  So once a node weighs ``1/2 + _HEAVY_MARGIN``, no node
+    disjoint from it reaches 1/2.  The root descent then meets no fork and
+    no stop above that node, and passes through it, and from there both runs
+    are the same code.  Only the episode engine, whose posteriors keep ``K`` within that bound,
+    starts warm; the public selections start from the root.
     """
 
     def descend(level: int, m: int, pref_lo: float, pref_hi: float) -> tuple:
@@ -209,7 +236,17 @@ def _heaviest(idx, depth: int) -> tuple:
                 return level, m, pref_lo, pref_mid, pref_hi
         return level, m, pref_lo, None, pref_hi
 
-    return descend(0, 0, 0.0, idx.prefix(idx.n))
+    level, m = start
+    width = 1 << (depth - level)
+    pref_lo = idx.prefix(m * width)
+    pref_hi = idx.prefix(m * width + width)
+    while level and pref_hi - pref_lo < 0.5 + _HEAVY_MARGIN:
+        if m & 1:
+            pref_lo = idx.prefix((m - 1) * width)
+        else:
+            pref_hi = idx.prefix((m + 2) * width)
+        level, m, width = level - 1, m >> 1, width << 1
+    return descend(level, m, pref_lo, pref_hi)
 
 
 def heaviest_node(post: Posterior, depth: int) -> TreeNode:

@@ -37,10 +37,6 @@ __all__ = [
     "rate_reliability_frontier",
 ]
 
-_GRID_POINTS = 10_000
-_GOLDEN_TOL = 1e-8
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def _pair_at_half(profile: NoiseProfile) -> BernoulliPair:
     return BernoulliPair.from_crossover(eval_noise(profile, 0.5))
@@ -77,35 +73,31 @@ def constant_k_h(profile: NoiseProfile) -> float:
     )
 
 
-def _grid_golden_min(fn, lo: float, hi: float) -> float:
-    """Minimum of a piecewise-smooth 1-D function: dense grid, then
-    golden-section refinement inside the best grid cell's neighbourhood."""
-    xs = np.linspace(lo, hi, _GRID_POINTS)
-    ys = np.array([fn(float(x)) for x in xs])
-    i = int(np.argmin(ys))
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, len(xs) - 1)])
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > _GOLDEN_TOL:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-    return min(float(ys[i]), fc, fd)
-
-
 def _dya_f(rho: float, pair: BernoulliPair) -> float:
     return rho * kl_bernoulli(pair.p1, pair.mix(0.75))
 
 
 def _dya_g(rho: float, pair: BernoulliPair) -> float:
     return (0.5 - rho) * kl_bernoulli(pair.mix(1.0 - 4.0 * rho), pair.mix(0.5 + rho))
+
+
+def _dya_crossing(pair: BernoulliPair) -> float:
+    """min over [0, 1/4] of max{f, g}: its value where f meets g.
+
+    On [0, 0.1] f rises from 0 and g falls to 0, at rho = 0.1, where its two
+    mixtures coincide; on [0.1, 1/4] max{f, g} >= f(0.1).  So the minimum is
+    at the crossing in [0, 0.1], found by bisection down to adjacent floats;
+    it is the smaller of max{f, g} at the two ends of the last bracket.
+    """
+    lo, hi = 0.0, 0.1
+    mid = 0.05
+    while lo < mid < hi:
+        if _dya_f(mid, pair) < _dya_g(mid, pair):
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) / 2.0
+    return min(max(_dya_f(r, pair), _dya_g(r, pair)) for r in (lo, hi))
 
 
 def constant_k_d(profile: NoiseProfile) -> float:
@@ -117,7 +109,7 @@ def constant_k_d(profile: NoiseProfile) -> float:
     g(rho) = (1/2-rho) D((1-4rho) B1 + 4rho B0 || (1/2+rho) B1 + (1/2-rho) B0).
     """
     pair = _pair_at_half(profile)
-    branch1 = _grid_golden_min(lambda r: max(_dya_f(r, pair), _dya_g(r, pair)), 0.0, 0.25)
+    branch1 = _dya_crossing(pair)
     branch2 = _dya_f(0.25, pair)  # f = rho * D with D >= 0 is least at the left end
     branch3 = 0.25 * kl_bernoulli(pair.mix(0.25), pair.p0)
     return min(branch1, branch2, branch3)

@@ -94,6 +94,12 @@ class TestSampleObservation:
             z = int(ref_rng.random() < p)
             assert sample_observation(AFFINE, False, 0.5, obs_rng) == z
 
+    def test_returns_an_int(self):
+        rng = np.random.default_rng(5)
+        for member in (True, False, np.True_, 1, 0):
+            y = sample_observation(AFFINE, member, 0.25, rng)
+            assert type(y) is int and y in (0, 1)
+
     def test_empirical_mean_matches_flip_probability(self):
         # target in set, p = 0.35: mean of Y is 1 - p = 0.65
         rng = np.random.default_rng(42)

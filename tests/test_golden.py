@@ -60,7 +60,7 @@ GOLDEN_CLI = {
     "simulate-median-fl-constant-json": "83af41559c68b84eea552240827f9234fe247d47dbd058ceb10f2e2e1b767355",
     "sweep-dya-w2": "a8c5177f2cfa7cdf0a6512fd1e50c7021e62ea0d495f032009720ae8a254dd9e",
     "dump-partition-hie": "30b0fb592ef9c2fa228c836605eea615a113b889f92fee71a2449aab7fb21b93",
-    "bounds": "e6bba50107009d446232b24b5b8de68a538e6c4ccdefca8ed3bf621ad44ed840",
+    "bounds": "9df85a159c1346d4fa169a6d71d3705d9459088faff60fecd10be5f5327e489e",
     "frontier": "29794db2469586fcea4584234f88f181a4ea6fb2b59da704938dcba94b265532",
 }
 

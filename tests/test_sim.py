@@ -8,10 +8,10 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from noisysearch import sim
+from noisysearch import sim, strategies
 from noisysearch.channel import AffineNoise, ConstantNoise
 from noisysearch.errors import CapExceededError, ContractViolationError
-from noisysearch.posterior import PosteriorPartition
+from noisysearch.posterior import PosteriorPartition, _Partition
 from noisysearch.sim import (
     EpisodeRecord,
     FixedLength,
@@ -263,6 +263,102 @@ class TestGatedPeakScan:
         cfg = config(L=10, strategy=StrategyKind.DYA_PM, stopping=FixedLength(40), seed=53)
         with pytest.raises(ContractViolationError):
             run_episode(cfg, trial_rng(cfg.seed, 0))
+
+
+class TestWarmStartDescent:
+    """Each engine step starts the heavy-node descent from the previous
+    step's node; it must return what a descent from the root returns."""
+
+    PROFILES = {
+        "affine": AFFINE,
+        "constant": ConstantNoise(0.2),
+        "noiseless": AffineNoise(0.0, 0.5, p_floor=0.0),
+    }
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """The start node of every descent, each checked against a cold one."""
+        heaviest = strategies._heaviest
+        calls = []
+
+        def checked(idx, depth, start=strategies._ROOT):
+            got = heaviest(idx, depth, start)
+            assert got == heaviest(idx, depth), (start, got)
+            calls.append(start)
+            return got
+
+        monkeypatch.setattr(strategies, "_heaviest", checked)
+        return calls
+
+    @pytest.mark.parametrize("kind", (StrategyKind.DYA_PM, StrategyKind.HIE_PM))
+    @pytest.mark.parametrize("L", (3, 8, 12, 20))
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("fixed", (False, True), ids=("vl", "fl"))
+    def test_episodes_match_cold_descent(self, kind, L, profile, fixed, starts):
+        stopping = FixedLength(80) if fixed else VariableLength(1e-3)
+        cps = (10, 40, 80) if fixed else None
+        cfg = config(L=L, strategy=kind, profile=self.PROFILES[profile], stopping=stopping,
+                     seed=59)
+        steps = 0
+        for i in range(4):
+            steps += run_episode(cfg, trial_rng(cfg.seed, i), checkpoint_steps=cps).tau
+        assert len(starts) == steps
+        # after the first step an episode starts where the last descent ended
+        assert sum(s != strategies._ROOT for s in starts) >= steps // 2
+
+    @staticmethod
+    def every_start(part, depth):
+        cold = strategies._heaviest(part, depth)
+        for level in range(depth + 1):
+            for m in range(1 << level):
+                assert strategies._heaviest(part, depth, (level, m)) == cold, (level, m)
+        return cold
+
+    def test_start_just_below_the_margin(self):
+        # bin 1 weighs 1/2 + margin/2: the start node (2, 0) holds bin 1 alone
+        # and must climb, although its mass is above 1/2
+        heavy = 0.5 + strategies._HEAVY_MARGIN / 2
+        assert 0.5 < heavy < 0.5 + strategies._HEAVY_MARGIN
+        masses = [heavy, 0.0, 1.0 - heavy]
+        part = _Partition([1, 2, 5], [1, 4, 8], masses, list(accumulate(masses)))
+        assert self.every_start(part, 3)[:2] == (3, 0)
+
+    def test_fork_reached_from_a_start_node(self):
+        # node (1, 0) splits exactly in half: bins 2 and 3 weigh 1/2 each
+        masses = [0.0, 0.5, 0.5, 0.0]
+        part = _Partition([1, 2, 3, 4], [1, 2, 3, 8], masses, list(accumulate(masses)))
+        assert self.every_start(part, 3) == (3, 1, 0.0, None, 0.5)
+
+
+class TestEngineWork:
+    @pytest.mark.parametrize("L", (12, 20))
+    def test_prefix_reads_per_hie_step(self, L, monkeypatch):
+        prefix = sim._Partition.prefix
+        calls = []
+
+        def counted(part, k):
+            calls.append(k)
+            return prefix(part, k)
+
+        monkeypatch.setattr(sim._Partition, "prefix", counted)
+        cfg = config(L=L, strategy=StrategyKind.HIE_PM, seed=3)
+        steps = sum(run_episode(cfg, trial_rng(cfg.seed, i)).tau for i in range(40))
+        assert len(calls) <= 5 * steps  # a descent from the root reads about L / 2
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("stopping", (VariableLength(1e-3), FixedLength(30)), ids=("vl", "fl"))
+    @pytest.mark.parametrize("target", (None, 5))
+    def test_one_uniform_per_query(self, kind, stopping, target):
+        cfg = config(L=8, strategy=kind, stopping=stopping, target=target, seed=61)
+        for i in range(5):
+            rng = trial_rng(cfg.seed, i)
+            rec = run_episode(cfg, rng)
+            ref = trial_rng(cfg.seed, i)
+            if target is None:
+                ref.integers(1, cfg.n_bins + 1)
+            for _ in range(rec.tau):
+                ref.random()
+            assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state), i
 
 
 class TestCheckpointPrefixProperty:
