@@ -315,8 +315,9 @@ class TestWarmStartDescent:
         return cold
 
     def test_start_just_below_the_margin(self):
-        # bin 1 weighs 1/2 + margin/2: the start node (2, 0) holds bin 1 alone
-        # and must climb, although its mass is above 1/2
+        # bin 1 weighs 1/2 + margin/2 and bins 2..4 nothing, so the nodes on
+        # its path below the root weigh above 1/2 but below the margin: a
+        # start at any of them climbs to the root
         heavy = 0.5 + strategies._HEAVY_MARGIN / 2
         assert 0.5 < heavy < 0.5 + strategies._HEAVY_MARGIN
         masses = [heavy, 0.0, 1.0 - heavy]
