@@ -138,14 +138,13 @@ def sample_observation(
 
     Consumes exactly one uniform draw from ``rng``.
     """
-    return int(_observe(noise_for_size(profile, size_fraction), bool(target_in_set), rng))
+    return _observe(noise_for_size(profile, size_fraction), target_in_set, rng)
 
 
-def _observe(p: float, target_in_set: bool, rng: np.random.Generator) -> bool:
+def _observe(p: float, target_in_set: bool, rng: np.random.Generator) -> int:
     """:func:`sample_observation` at a crossover ``p`` already evaluated, for
-    a caller that also needs ``p`` (the Bayes update); one uniform draw.
-    Returns the bit as a bool, which the update takes as 0 or 1."""
-    return target_in_set != (rng.random() < p)
+    a caller that also needs ``p`` (the Bayes update); one uniform draw."""
+    return int(target_in_set) ^ int(rng.random() < p)
 
 
 def binary_entropy(q: float) -> float:

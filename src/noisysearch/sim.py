@@ -165,14 +165,13 @@ def _run(
     """One episode; returns its record and the final kernel state (frozen
     only on request, so sortPM never holds the ``n``-entry vector).
 
-    The channel is evaluated once per query size, for both the observation
-    and the update, and each connected-rule step starts its heavy-node
-    descent from the previous step's node (:func:`strategies._heaviest`).
-    The kernel's O(#intervals) ``peak()`` scan runs only on steps
-    that read the peak or the argmax: a traced step, a checkpoint, the
-    fixed-length horizon, and a variable-length step whose largest interval
-    mass (``peak_bound()``, an upper bound on every bin's mass) exceeds
-    ``1 - eps``.  On any other step the peak cannot pass the threshold, so
+    Each step evaluates the channel once, for both the observation and the
+    update, and each connected-rule step starts its heavy-node descent from
+    the previous step's node (:func:`strategies._heaviest`).  The kernel's
+    O(#intervals) ``peak()`` scan runs only on steps that read the peak or
+    the argmax: a traced step, a checkpoint, the fixed-length horizon, and a
+    variable-length step whose largest interval mass (``peak_bound()``, an
+    upper bound on every bin's mass) exceeds ``1 - eps``.  On any other step the peak cannot pass the threshold, so
     the record is the one a scan on every step would give.
     """
     n = config.n_bins
@@ -204,7 +203,6 @@ def _run(
 
     depth = config.L
     node = _ROOT  # the last heavy node, where the next descent starts
-    noise: dict[int, float] = {}  # crossover by query size, in bins
     sizes: list[float] = []
     max_trace: list[float] = [] if trace else None
     cp_estimates: list[int] = [] if checkpoints is not None else None
@@ -222,9 +220,7 @@ def _run(
             member = s1 <= truth <= s2
             query = (s1, s2)
         frac = size / n
-        p = noise.get(size)
-        if p is None:
-            p = noise[size] = noise_for_size(profile, frac)
+        p = noise_for_size(profile, frac)
         state.update(*query, _observe(p, member, rng), p)
         k = len(state)
         if k > cuts_per_step * tau + 1:

@@ -120,6 +120,8 @@ def _best_prefix_end(idx, start: int, base: float) -> int:
     best_k, best_d = 0, math.inf
     for k in (k0 - 1, k0, k0 + 1):
         if start <= k <= idx.n:
+            # the interval that holds k, so d is exactly prefix(k)'s; j alone
+            # gives the same float at k0 - 1 but not at k0 + 1 past j's end
             i = j - (k < idx.los[j]) + (k > idx.his[j])
             d = abs(idx.prefix_in(i, k) - base - 0.5)
             if d < best_d:
