@@ -18,13 +18,10 @@ from .channel import (
     kl_bernoulli,
     mutual_info_bsc,
     noise_for_size,
-    profile_from_json,
-    profile_to_json,
     reliability_c1,
     sample_observation,
 )
 from .errors import (
-    AlphaFloorError,
     CapExceededError,
     ContractViolationError,
     NoisySearchError,

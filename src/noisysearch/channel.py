@@ -31,8 +31,6 @@ __all__ = [
     "mutual_info_bsc",
     "kl_bernoulli",
     "reliability_c1",
-    "profile_to_json",
-    "profile_from_json",
 ]
 
 # Crossover probabilities are clamped away from {0, 1/2} so that likelihood
@@ -122,8 +120,6 @@ def noise_for_size(profile: NoiseProfile, size_fraction: float) -> float:
     them) see the worst-case noise ``p_max = p(1/2)``: the profile is defined
     on [0, 1/2] and its maximum over all query sets is attained there.
     """
-    if size_fraction < 0.0:
-        raise ValueError(f"size_fraction must be >= 0, got {size_fraction}")
     return eval_noise(profile, min(size_fraction, 0.5))
 
 
@@ -188,24 +184,3 @@ def reliability_c1(p: float) -> float:
             return math.inf
         raise ValueError(f"p must be in (0, 0.5], got {p}")
     return kl_bernoulli(p, 1.0 - p)
-
-
-def profile_to_json(profile: NoiseProfile) -> dict:
-    """JSON-ready dict: {"kind": "affine", "a": .., "b": ..} or {"kind": "constant", "p": ..}."""
-    if isinstance(profile, AffineNoise):
-        out: dict = {"kind": "affine", "a": profile.a, "b": profile.b}
-    else:
-        out = {"kind": "constant", "p": profile.p}
-    if profile.p_floor != P_FLOOR:
-        out["p_floor"] = profile.p_floor
-    return out
-
-
-def profile_from_json(obj: dict) -> NoiseProfile:
-    kind = obj.get("kind")
-    extra = {"p_floor": obj["p_floor"]} if "p_floor" in obj else {}
-    if kind == "affine":
-        return AffineNoise(a=float(obj["a"]), b=float(obj["b"]), **extra)
-    if kind == "constant":
-        return ConstantNoise(p=float(obj["p"]), **extra)
-    raise ValueError(f"unknown noise profile kind: {kind!r}")

@@ -149,7 +149,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     add_common(bnd, True, _BOUND_STRATEGY_NAMES)
     bnd.add_argument("--L", type=int, default=None, help="resolution exponent (delta = 2**-L)")
     bnd.add_argument("--vl", type=float, default=None, help="reliability target epsilon")
-    bnd.add_argument("--alpha", type=float, default=None, help="query-fraction scale")
+    bnd.add_argument("--alpha", type=float, default=None,
+                     help="query-fraction scale (default 2**-6)")
 
     fro = sub.add_parser("frontier", help="achievable rate-reliability segments")
     add_common(fro, False, None)
@@ -212,8 +213,6 @@ def parse_args(argv: Sequence[str]) -> RunManifest:
             values["workers"] = int(env)
         except ValueError:
             parser.error(f"NS_WORKERS: invalid int value: {env!r}")
-    if values["subcommand"] == "bounds" and values["alpha"] is None:
-        values["alpha"] = _DEFAULT_ALPHA
 
     fields = {f.name for f in dataclasses.fields(RunManifest)}
     given = {k: v for k, v in values.items() if k in fields and v is not None}
@@ -318,24 +317,24 @@ def _plan(m: RunManifest) -> Callable[[TextIO, Optional[TextIO]], None]:
 
     if sub == "bounds":
         require("vl")
-        if not (0.0 < m.vl < 1.0):
-            raise ValueError(f"--vl must be in (0, 1), got {m.vl}")
-        require("alpha")
-        if not (0.0 < m.alpha <= 0.5):
-            raise ValueError(f"--alpha must be in (0, 0.5], got {m.alpha}")
+        alpha = _DEFAULT_ALPHA if m.alpha is None else m.alpha
+        # built here so that tau_upper_bound's checks of --vl and --alpha run
+        # before the job opens --out
+        reports = [
+            tau_upper_bound(StrategyKind(name), profile, 2.0 ** -m.L, m.vl, alpha)
+            for name in ([m.strategy] if m.strategy else _BOUND_STRATEGY_NAMES)
+        ]
 
         def bounds(out: TextIO, dump: Optional[TextIO]) -> None:
             header = (
                 "strategy", "delta", "epsilon", "alpha", "K", "rate_term",
                 "reliability_term", "residual", "tau_upper",
             )
-            rows = []
-            for name in [m.strategy] if m.strategy else _BOUND_STRATEGY_NAMES:
-                rep = tau_upper_bound(StrategyKind(name), profile, 2.0 ** -m.L, m.vl, m.alpha)
-                rows.append((
-                    name, rep.delta, rep.epsilon, rep.alpha, rep.constant,
-                    rep.rate_term, rep.reliability_term, rep.residual, rep.tau_upper,
-                ))
+            rows = [
+                (rep.strategy.value, rep.delta, rep.epsilon, rep.alpha, rep.constant,
+                 rep.rate_term, rep.reliability_term, rep.residual, rep.tau_upper)
+                for rep in reports
+            ]
             _write_rows(out, m.format, header, rows)
             print(f"wrote {len(rows)} bound reports to {m.out}")
         return bounds
@@ -369,8 +368,11 @@ def _plan(m: RunManifest) -> Callable[[TextIO, Optional[TextIO]], None]:
         config = search(stopping=FixedLength(m.fl) if kind == "fl" else VariableLength(m.vl))
     except ValueError as exc:
         raise ValueError(f"--{kind}: {exc}") from None
-    if m.dump_partition is not None and m.strategy == "sort":
-        raise ValueError("--dump-partition needs a connected-geometry strategy")
+    if m.dump_partition is not None:
+        if m.strategy == "sort":
+            raise ValueError("--dump-partition needs a connected-geometry strategy")
+        if os.path.realpath(m.dump_partition) == os.path.realpath(m.out):
+            raise ValueError("--dump-partition must name a file other than --out")
 
     def simulate(out: TextIO, dump: Optional[TextIO]) -> None:
         summary = run_monte_carlo(config, m.trials, workers=m.workers)

@@ -17,14 +17,3 @@ class ZeroLikelihoodError(ContractViolationError):
 
 class CapExceededError(NoisySearchError):
     """A variable-length episode hit the hard step cap (diagnostic guard)."""
-
-
-class AlphaFloorError(NoisySearchError):
-    """The requested query-fraction scale is below the theorem's validity floor."""
-
-    def __init__(self, alpha: float, floor: float):
-        self.alpha = alpha
-        self.floor = floor
-        super().__init__(
-            f"alpha={alpha!r} is below the asymptotic validity floor {floor!r}"
-        )

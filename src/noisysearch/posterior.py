@@ -321,8 +321,10 @@ class _Partition:
             np.array(self.masses),
         )
 
-    def cut(self, b: int) -> None:
+    def cut(self, b: int) -> int:
         """Split so that some interval starts at bin ``b``; no-op if one already does.
+        Returns that interval's index: 0 for ``b <= 1``, the interval count
+        for ``b > n``.
 
         The straddling interval's mass is divided proportionally to the
         sub-interval widths.  Degenerate cuts at the ends of the range are
@@ -330,18 +332,21 @@ class _Partition:
         :meth:`update` rebuilds it before anything reads it.
         """
         los = self.los
-        if b <= los[0] or b > self.n:
-            return
+        if b <= los[0]:
+            return 0
+        if b > self.n:
+            return len(los)
         j = bisect_right(los, b) - 1
         lo = los[j]
         if lo == b:
-            return
+            return j
         hi = self.his[j]
         width = hi - lo + 1
         m = self.masses[j]
         los.insert(j + 1, b)
         self.his.insert(j, b - 1)
         self.masses[j : j + 1] = [m * ((b - lo) / width), m * ((hi - b + 1) / width)]
+        return j + 1
 
     def update(self, s1: int, s2: int, y: int, p: float) -> None:
         """Bayes step for the query [s1, s2] answered ``y`` with crossover ``p``.
@@ -351,10 +356,8 @@ class _Partition:
         channel likelihood and renormalizes.
         """
         in_lik, out_lik = _likelihoods(y, p)
-        self.cut(s1)
-        self.cut(s2 + 1)
-        i1 = bisect_left(self.los, s1)
-        i2 = bisect_left(self.his, s2) + 1
+        i1 = self.cut(s1)
+        i2 = self.cut(s2 + 1)  # after i1, so i1 stays put
         masses = self.masses
         head, query, tail = masses[:i1], masses[i1:i2], masses[i2:]
         total = 0.0

@@ -147,15 +147,6 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     )
 
 
-def _lemma_bound_check(n_intervals: int, steps_done: int, cuts_per_step: int) -> None:
-    bound = cuts_per_step * steps_done + 1
-    if n_intervals > bound:
-        raise ContractViolationError(
-            f"posterior has {n_intervals} intervals after {steps_done} queries, "
-            f"exceeding {bound}"
-        )
-
-
 def _run(
     config: SearchConfig,
     rng: np.random.Generator,
@@ -224,7 +215,10 @@ def _run(
         state.update(*query, _observe(p, member, rng), p)
         k = len(state)
         if k > cuts_per_step * tau + 1:
-            _lemma_bound_check(k, tau, cuts_per_step)
+            raise ContractViolationError(
+                f"posterior has {k} intervals after {tau} queries, "
+                f"exceeding {cuts_per_step * tau + 1}"
+            )
         ops += k
         sizes.append(frac)
         if (

@@ -72,10 +72,6 @@ class StrategyKind(enum.Enum):
     DYA_PM = "dya"
     HIE_PM = "hie"
 
-    @property
-    def cli_name(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class TreeNode:

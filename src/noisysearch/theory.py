@@ -22,7 +22,6 @@ from .channel import (
     mutual_info_bsc,
     reliability_c1,
 )
-from .errors import AlphaFloorError
 from .strategies import StrategyKind
 
 __all__ = [
@@ -42,7 +41,7 @@ def _pair_at_half(profile: NoiseProfile) -> BernoulliPair:
     return BernoulliPair.from_crossover(eval_noise(profile, 0.5))
 
 
-def constant_k_s(profile: NoiseProfile, lemma_coefficient: bool = False) -> float:
+def constant_k_s(profile: NoiseProfile) -> float:
     """Drift constant of the sorted-coarse-binned log-likelihood under sortPM.
 
     max{ 1/2 D(1/4 B1 + 3/4 B0 || B0),  1/8 D(B1 || 3/4 B1 + 1/4 B0) }
@@ -50,13 +49,12 @@ def constant_k_s(profile: NoiseProfile, lemma_coefficient: bool = False) -> floa
 
     The second branch's coefficient is stated as 1/8 in the headline bound
     but derived as 1/4 in the supporting drift lemma; the conservative 1/8
-    is the default and ``lemma_coefficient=True`` selects the 1/4 variant.
+    is used.
     """
     pair = _pair_at_half(profile)
-    coef = 0.25 if lemma_coefficient else 0.125
     return max(
         0.5 * kl_bernoulli(pair.mix(0.25), pair.p0),
-        coef * kl_bernoulli(pair.p1, pair.mix(0.75)),
+        0.125 * kl_bernoulli(pair.p1, pair.mix(0.75)),
     )
 
 
@@ -115,6 +113,17 @@ def constant_k_d(profile: NoiseProfile) -> float:
     return min(branch1, branch2, branch3)
 
 
+def _log2_inverse(delta: float, epsilon: float) -> float:
+    """log2(1/(delta*epsilon)), for a product in (0, 1) whose reciprocal is
+    finite and above 1; ValueError otherwise."""
+    product = delta * epsilon
+    if not (product > 0.0 and 1.0 < 1.0 / product < math.inf):
+        raise ValueError(
+            f"delta*epsilon must be in (0, 1) with a finite reciprocal, got {product!r}"
+        )
+    return math.log2(1.0 / product)
+
+
 def residual_f(
     rate: float, exponent: float, profile: NoiseProfile, delta: float, epsilon: float
 ) -> float:
@@ -125,9 +134,7 @@ def residual_f(
     """
     if rate <= 0.0 or exponent <= 0.0:
         raise ValueError(f"rate and exponent must be positive, got {rate}, {exponent}")
-    inner = math.log2(1.0 / (delta * epsilon))
-    if inner <= 0.0:
-        raise ValueError(f"delta*epsilon must be < 1, got {delta * epsilon}")
+    inner = _log2_inverse(delta, epsilon)
     p_delta = eval_noise(profile, delta)
     return (
         math.log2(inner) / rate
@@ -139,10 +146,7 @@ def residual_f(
 def alpha_floor(constant: float, delta: float, epsilon: float) -> float:
     """Smallest query-fraction scale the asymptotic bound is stated for:
     (e * log2(1/(delta*epsilon)))**(-constant)."""
-    inner = math.log2(1.0 / (delta * epsilon))
-    if inner <= 0.0:
-        raise ValueError(f"delta*epsilon must be < 1, got {delta * epsilon}")
-    return (math.e * inner) ** (-constant)
+    return (math.e * _log2_inverse(delta, epsilon)) ** (-constant)
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,6 @@ def tau_upper_bound(
     delta: float,
     epsilon: float,
     alpha: float,
-    enforce_floor: bool = False,
 ) -> BoundReport:
     """Expected-query-count upper bound at scale ``alpha`` (2**-l for the
     tree-constrained strategies).
@@ -185,9 +188,10 @@ def tau_upper_bound(
     E = C1(p(delta)).
 
     The asymptotic statement requires ``alpha`` above :func:`alpha_floor`;
-    at practical resolutions that floor is close to 1, so by default the
-    bound is still assembled (it is loose but valid to compare against) and
-    ``enforce_floor=True`` turns the precondition into an error.
+    at practical resolutions that floor is close to 1, so the bound is
+    assembled regardless (it is loose but valid to compare against), and a
+    caller that needs the precondition compares ``alpha`` with
+    ``report.floor``.
     """
     if strategy not in _BOUND_INPUT:
         raise ValueError(f"no search-time bound for strategy {strategy!r}")
@@ -200,8 +204,6 @@ def tau_upper_bound(
     const_fn, q = _BOUND_INPUT[strategy]
     constant = const_fn(profile)
     floor = alpha_floor(constant, delta, epsilon)
-    if enforce_floor and alpha <= floor:
-        raise AlphaFloorError(alpha, floor)
     rate = mutual_info_bsc(q, eval_noise(profile, alpha))
     exponent = reliability_c1(eval_noise(profile, delta))
     residual = residual_f(rate, exponent, profile, delta, epsilon)
@@ -227,7 +229,7 @@ class FrontierClass(enum.Enum):
 
 
 def rate_reliability_frontier(
-    profile: NoiseProfile, frontier_class: FrontierClass, num_points: int = 101
+    profile: NoiseProfile, frontier_class: FrontierClass
 ) -> list[tuple[float, float]]:
     """Achievable (rate, reliability) pairs: the segment from (R_max, 0) to
     (0, E_max).
@@ -247,5 +249,5 @@ def rate_reliability_frontier(
         r_max = e_max = mutual_info_bsc(0.5, p_max)
     else:
         raise ValueError(f"unknown frontier class {frontier_class!r}")
-    rates = np.linspace(0.0, r_max, num_points)
+    rates = np.linspace(0.0, r_max, 101)
     return [(float(r), float(e_max * (1.0 - r / r_max))) for r in rates]

@@ -1,6 +1,5 @@
 """Noise profiles, the observation channel, and information quantities."""
 
-import json
 import math
 
 import numpy as np
@@ -19,8 +18,6 @@ from noisysearch.channel import (
     kl_bernoulli,
     mutual_info_bsc,
     noise_for_size,
-    profile_from_json,
-    profile_to_json,
     reliability_c1,
     sample_observation,
 )
@@ -201,21 +198,3 @@ class TestBernoulliPair:
         pair = BernoulliPair.from_crossover(0.35)
         assert pair.mix(0.25) == pytest.approx(0.425)
         assert pair.mix(1.0) == pytest.approx(0.65)
-
-
-class TestJsonRoundTrip:
-    @pytest.mark.parametrize(
-        "profile",
-        [AFFINE, ConstantNoise(0.3), ConstantNoise(0.0, p_floor=0.0)],
-    )
-    def test_round_trip(self, profile):
-        blob = json.dumps(profile_to_json(profile))
-        assert profile_from_json(json.loads(blob)) == profile
-
-    def test_wire_format(self):
-        assert profile_to_json(AFFINE) == {"kind": "affine", "a": 0.1, "b": 0.5}
-        assert profile_to_json(ConstantNoise(0.3)) == {"kind": "constant", "p": 0.3}
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            profile_from_json({"kind": "poisson", "rate": 2.0})

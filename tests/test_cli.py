@@ -94,6 +94,12 @@ class TestParsing:
              "--noise", "affine:0.1:0.5", "--vl", "0.01", "--out", "x.csv"],  # not an int
             ["NS_WORKERS=0", "simulate", "--strategy", "dya", "--L", "4",
              "--noise", "affine:0.1:0.5", "--vl", "0.01", "--out", "x.csv"],  # no worker
+            ["bounds", "--L", "30", "--noise", "affine:0.1:0.5", "--vl", "5e-324",
+             "--out", "x.csv"],  # 2**-L * eps underflows to 0
+            ["bounds", "--L", "12", "--noise", "affine:0.1:0.5", "--vl", "1e-310",
+             "--out", "x.csv"],  # 1 / (2**-L * eps) overflows to inf
+            ["simulate", "--strategy", "dya", "--L", "6", "--noise", "affine:0.1:0.5",
+             "--vl", "0.01", "--out", "x.csv", "--dump-partition", "./x.csv"],  # one file
         ],
     )
     def test_usage_errors_exit_nonzero(self, argv, tmp_path, monkeypatch):
@@ -236,6 +242,15 @@ class TestExecution:
                      "--out", str(out)]) == 0
         assert [r["strategy"] for r in read_csv(out)] == ["hie"]
 
+    def test_bounds_manifest_without_alpha_uses_the_default(self, tmp_path):
+        by_argv, by_manifest = tmp_path / "argv.csv", tmp_path / "manifest.csv"
+        assert main(["bounds", "--L", "12", "--noise", "affine:0.1:0.5",
+                     "--vl", "0.001", "--out", str(by_argv)]) == 0
+        manifest = RunManifest(subcommand="bounds", noise="affine:0.1:0.5",
+                               out=str(by_manifest), L=12, vl=1e-3)
+        assert execute(manifest) == 0
+        assert read_bytes(by_manifest) == read_bytes(by_argv)
+
     def test_bounds_take_epsilon_below_the_stopping_floor(self, tmp_path):
         # a closed form: unlike simulate, it needs no peak to pass 1 - eps
         out = tmp_path / "bounds_tiny.csv"
@@ -301,6 +316,19 @@ class TestExecution:
         assert err.count("\n") == 1 and ": error: " in err
         assert not (tmp_path / "p.csv").exists()
 
+    def test_dump_partition_to_the_output_file_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        out.write_bytes(b"earlier,results\n")
+        manifest = RunManifest(
+            subcommand="simulate", noise="affine:0.1:0.5", out=str(out),
+            strategy="dya", L=6, vl=0.01, trials=5, seed=3,
+            dump_partition=f"{tmp_path}/./s.csv",  # another spelling of the same path
+        )
+        assert execute(manifest) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ": error: " in err
+        assert out.read_bytes() == b"earlier,results\n"
+
     @pytest.mark.parametrize(
         "via_json, fields",
         [
@@ -316,6 +344,8 @@ class TestExecution:
             pytest.param(False, {"subcommand": "nope"}, id="unknown-subcommand"),
             pytest.param(False, {"format": "xml"}, id="unknown-format"),
             pytest.param(True, {"L": "12"}, id="from-json-string-L"),
+            pytest.param(False, {"subcommand": "bounds", "L": 30, "vl": 5e-324,
+                                 "alpha": 0.015625}, id="bounds-vl-underflow"),
         ],
     )
     def test_bad_manifest_is_a_usage_error(self, via_json, fields, tmp_path, monkeypatch, capsys):

@@ -13,6 +13,7 @@ from noisysearch.posterior import (
     PosteriorDense,
     PosteriorPartition,
     QuerySet,
+    _Partition,
     avg_log_likelihood,
     bayes_update_dense,
     bayes_update_partition,
@@ -152,6 +153,18 @@ class TestPartitionUpdate:
         )
         part = bayes_update_partition(part, QuerySet.from_run(1, 8), 1, AFFINE)
         assert part.n_intervals == 3
+
+    def test_cut_returns_the_index_of_the_interval_starting_at_b(self):
+        part = _Partition.of(PosteriorPartition.from_intervals([(1, 3, 0.25), (4, 8, 0.75)]))
+        assert part.cut(1) == 0  # the first interval, at the left end
+        assert part.cut(0) == 0
+        assert part.cut(9) == 2  # past the right end: the interval count
+        assert part.cut(4) == 1  # an existing start
+        assert len(part) == 2  # none of these split
+        assert part.cut(6) == 2  # a split of [4, 8] into [4, 5] and [6, 8]
+        assert list(zip(part.los, part.his)) == [(1, 3), (4, 5), (6, 8)]
+        assert part.masses == [0.25, 0.75 * (2 / 5), 0.75 * (3 / 5)]
+        assert part.cut(9) == 3
 
 
 class TestOracleEquivalence:

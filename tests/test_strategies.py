@@ -497,8 +497,8 @@ class TestNestedLogLik:
 
 
 class TestStrategyKind:
-    def test_cli_names(self):
-        assert [k.cli_name for k in StrategyKind] == ["median", "sort", "dya", "hie"]
+    def test_values(self):  # the names --strategy takes
+        assert [k.value for k in StrategyKind] == ["median", "sort", "dya", "hie"]
 
     def test_dispatch(self):
         post = PosteriorDense.uniform(8)

@@ -15,7 +15,6 @@ from noisysearch.channel import (
     mutual_info_bsc,
     reliability_c1,
 )
-from noisysearch.errors import AlphaFloorError
 from noisysearch.strategies import StrategyKind
 from noisysearch.theory import (
     FrontierClass,
@@ -49,15 +48,6 @@ class TestSortConstant:
         b1 = 0.5 * kl_bernoulli(0.3, 0.1)
         b2 = 0.125 * kl_bernoulli(0.9, 0.7)
         assert constant_k_s(ConstantNoise(0.1)) == pytest.approx(max(b1, b2), abs=1e-15)
-
-    def test_lemma_coefficient_variant(self):
-        # the drift lemma derives 1/4 on the second branch; the headline
-        # statement uses the conservative 1/8
-        quarter = 0.25 * kl_bernoulli(0.65, 0.575)
-        assert constant_k_s(AFFINE, lemma_coefficient=True) == pytest.approx(
-            max(0.5 * kl_bernoulli(0.425, 0.35), quarter), abs=1e-15
-        )
-        assert constant_k_s(AFFINE, lemma_coefficient=True) >= constant_k_s(AFFINE)
 
 
 class TestHieConstant:
@@ -148,6 +138,12 @@ class TestResidual:
             residual_f(1.0, 1.0, AFFINE, 0.5, 2.0)
         with pytest.raises(ValueError):
             residual_f(1.0, 1.0, AFFINE, 0.5, 2.5)
+        # a product that underflows to 0, or whose reciprocal overflows
+        for delta, eps in [(2.0**-30, 5e-324), (2.0**-12, 1e-310)]:
+            with pytest.raises(ValueError):
+                residual_f(1.0, 1.0, AFFINE, delta, eps)
+            with pytest.raises(ValueError):
+                alpha_floor(0.01, delta, eps)
 
     def test_nonpositive_rates_rejected(self):
         with pytest.raises(ValueError):
@@ -189,10 +185,6 @@ class TestTauUpperBound:
         rep = tau_upper_bound(StrategyKind.SORT_PM, AFFINE, delta, eps, alpha)
         assert rep.floor == pytest.approx(alpha_floor(rep.constant, delta, eps), abs=1e-15)
         assert rep.floor > alpha  # desk-scale parameters sit below the floor
-        with pytest.raises(AlphaFloorError):
-            tau_upper_bound(
-                StrategyKind.SORT_PM, AFFINE, delta, eps, alpha, enforce_floor=True
-            )
 
     def test_median_has_no_bound(self):
         with pytest.raises(ValueError):
