@@ -84,8 +84,9 @@ class SearchConfig:
     target: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.L < 0:
-            raise ValueError(f"L must be >= 0, got {self.L}")
+        # 2**L bins must fit the int64 draw of the target
+        if not (0 <= self.L <= 62):
+            raise ValueError(f"L must be in 0..62, got {self.L}")
         if self.target is not None and not (1 <= self.target <= self.n_bins):
             raise ValueError(f"target must be in 1..{self.n_bins}, got {self.target}")
 
@@ -285,11 +286,26 @@ def episode_final_posterior(config: SearchConfig, trial_index: int = 0) -> Poste
     return state.freeze()
 
 
+def _batched(config: SearchConfig) -> bool:
+    """Whether a run's trials go to the lockstep engine (:mod:`._batch`):
+    fixed-length connected-rule runs, at ``L`` where bin arithmetic is exact
+    in float64."""
+    return (
+        isinstance(config.stopping, FixedLength)
+        and config.strategy is not StrategyKind.SORT_PM
+        and 1 <= config.L <= 53
+    )
+
+
 def _count_trials(
     config: SearchConfig, checkpoints: Optional[tuple[int, ...]], start: int, stop: int
 ) -> tuple[np.ndarray, int]:
     """Counts over trials ``start..stop-1``: errors at each checkpoint (or of
     the final estimate, without checkpoints) and the sum of stopping times."""
+    if _batched(config):
+        from ._batch import count_trials  # imported only by the runs that use it
+
+        return count_trials(config, checkpoints, start, stop)
     errors = np.zeros(len(checkpoints) if checkpoints else 1, dtype=np.int64)
     tau_sum = 0
     for i in range(start, stop):
@@ -305,13 +321,22 @@ def _map_trials(
     config: SearchConfig, checkpoints: Optional[tuple[int, ...]], trials: int, workers: int
 ) -> tuple[np.ndarray, int]:
     """:func:`_count_trials` over all trials, chunked on at most ``os.cpu_count()``
-    processes; the integer counts do not depend on the chunking."""
+    processes; the integer counts do not depend on the chunking.  A batched
+    run is cut into one chunk per process, since the lockstep engine gains
+    with the rows of a batch; a scalar run into four per process."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return _count_trials(config, checkpoints, 0, trials)
-    edges = np.linspace(0, trials, min(workers * 4, trials) + 1, dtype=int).tolist()
+    chunks = workers * 4
+    if _batched(config):
+        from . import _batch  # noqa: F401  loaded before the pool forks its workers
+
+        chunks = workers
+    edges = np.linspace(0, trials, min(chunks, trials) + 1, dtype=int).tolist()
     errors = 0
     tau_sum = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -368,6 +393,8 @@ def sweep_error_vs_queries(
     the largest budget and read off at every checkpoint), so the resulting
     curves are directly comparable point by point.
     """
+    if any(int(v) != v for v in n_values):
+        raise ValueError(f"n_values must be integers, got {list(n_values)}")
     ns = tuple(sorted(set(int(v) for v in n_values)))
     if not ns or ns[0] < 1:
         raise ValueError("n_values must be non-empty positive integers")

@@ -8,7 +8,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from noisysearch import sim, strategies
+from noisysearch import _batch, sim, strategies
 from noisysearch.channel import AffineNoise, ConstantNoise
 from noisysearch.errors import CapExceededError, ContractViolationError
 from noisysearch.posterior import PosteriorPartition, _Partition
@@ -30,6 +30,7 @@ AFFINE = AffineNoise(0.1, 0.5)
 NOISELESS = ConstantNoise(0.0, p_floor=0.0)
 PROPOSED = (StrategyKind.SORT_PM, StrategyKind.DYA_PM, StrategyKind.HIE_PM)
 ALL_KINDS = (StrategyKind.MEDIAN_PM,) + PROPOSED
+CONNECTED = (StrategyKind.MEDIAN_PM, StrategyKind.DYA_PM, StrategyKind.HIE_PM)
 
 
 def config(**kw) -> SearchConfig:
@@ -100,6 +101,9 @@ class TestEpisodeBasics:
         VariableLength(1e-16)
         with pytest.raises(ValueError):
             config(target=99)
+        with pytest.raises(ValueError, match="L must be in 0..62"):
+            config(L=63)  # 2**63 bins overflow the int64 draw of the target
+        config(L=62)
 
 
 class TestDeterminism:
@@ -246,8 +250,27 @@ class TestGatedPeakScan:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_sweep_scans_once_per_checkpoint(self, kind, peak_calls):
         cfg = config(L=12, strategy=kind, stopping=FixedLength(self.SWEEP[-1]), seed=47)
-        sweep_error_vs_queries(cfg, self.SWEEP, 5)
+        if kind is StrategyKind.SORT_PM:
+            sweep_error_vs_queries(cfg, self.SWEEP, 5)
+        else:  # a connected sweep runs on the batch engine, checked below
+            for i in range(5):
+                run_episode(cfg, trial_rng(cfg.seed, i), checkpoint_steps=self.SWEEP)
         assert len(peak_calls) == 5 * len(self.SWEEP)
+
+    @pytest.mark.parametrize("kind", CONNECTED)
+    def test_batch_sweep_scans_once_per_checkpoint(self, kind, monkeypatch):
+        rows = []
+        peak = _batch._Batch.peak
+
+        def counted(batch):
+            out = peak(batch)
+            rows.append(out.size)
+            return out
+
+        monkeypatch.setattr(_batch._Batch, "peak", counted)
+        cfg = config(L=12, strategy=kind, stopping=FixedLength(self.SWEEP[-1]), seed=47)
+        sweep_error_vs_queries(cfg, self.SWEEP, 5)
+        assert rows == [5] * len(self.SWEEP)
 
     def test_interval_count_check_fires(self, monkeypatch):
         # dyaPM's single-bin queries cut twice, so one more interval breaks 2t + 1
@@ -523,6 +546,19 @@ class TestSummaries:
         post = episode_final_posterior(cfg)
         assert isinstance(post, PosteriorPartition)
         assert post.max_mass > 1.0 - 1e-3
+
+    def test_workers_below_one_rejected(self):
+        cfg = config(L=6, strategy=StrategyKind.DYA_PM, seed=23)
+        with pytest.raises(ValueError, match="workers"):
+            run_monte_carlo(cfg, 10, workers=-1)
+        with pytest.raises(ValueError, match="workers"):
+            sweep_error_vs_queries(cfg, [2, 4], 10, workers=0)
+
+    def test_non_integral_budgets_rejected(self):
+        cfg = config(L=6, strategy=StrategyKind.DYA_PM, seed=23)
+        with pytest.raises(ValueError, match="integers"):
+            sweep_error_vs_queries(cfg, [2.7, 3.2], 10)
+        assert [n for n, _ in sweep_error_vs_queries(cfg, [2.0, 3], 10)] == [2, 3]
 
     def test_episode_record_is_plain_data(self):
         rec = EpisodeRecord(
