@@ -1,8 +1,9 @@
 """Fixed-length trials of the connected rules, run in lockstep.
 
-:func:`count_trials` is :func:`sim._count_trials` for a fixed-length
-``median``, ``dya`` or ``hie`` run: it runs a batch of trials step by step on
-``(rows, width)`` arrays, one row per trial, instead of one trial at a time.
+:func:`run_batch` runs a batch of fixed-length ``median``, ``dya`` or
+``hie`` trials step by step on ``(rows, width)`` arrays, one row per trial,
+instead of one trial at a time; :func:`sim._count_trials` sends it the
+batches that :func:`sim._lockstep_batches` sizes.
 Every operation is a row-wise copy of the scalar kernel's
 (:class:`posterior._Partition`, :func:`strategies._heaviest`,
 :func:`strategies._best_prefix_end`): the same floating-point operations on
@@ -24,17 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import P_CEILING, AffineNoise
+from .channel import _noise_for_sizes
 from .errors import ContractViolationError, ZeroLikelihoodError
 from .sim import SearchConfig, trial_rng
 from .strategies import _HEAVY_MARGIN, StrategyKind
-
-# A batch of fixed length n has at most CELLS // (2n + 3) rows, so each of
-# its (rows, 2n + 3) arrays holds at most CELLS cells (256 KiB), and at most
-# ROWS rows: past a few hundred rows numpy's per-call cost is spread thin,
-# while the batch's (rows,) vectors keep growing.
-CELLS = 1 << 15
-ROWS = 1 << 10
 
 
 class _Batch:
@@ -287,16 +281,6 @@ def _select(kind: StrategyKind, batch: _Batch, depth: int, level, m) -> tuple:
     return index * width + 1, (index + 1) * width, level, m
 
 
-def _crossover(profile, frac: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`channel.noise_for_size`."""
-    frac = np.minimum(frac, 0.5)
-    if isinstance(profile, AffineNoise):
-        raw = profile.a + profile.b * frac
-    else:
-        raw = np.full(frac.shape, float(profile.p))
-    return np.minimum(np.maximum(raw, profile.p_floor), P_CEILING)
-
-
 def run_batch(
     config: SearchConfig, checkpoints: Optional[tuple], start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -322,7 +306,7 @@ def run_batch(
     c = 0
     for tau in range(1, steps + 1):
         s1, s2, level, m = _select(config.strategy, batch, depth, level, m)
-        p = _crossover(config.profile, (s2 - s1 + 1) / n)
+        p = _noise_for_sizes(config.profile, (s2 - s1 + 1) / n)
         member = (s1 <= truth) & (truth <= s2)
         batch.update(s1, s2, member ^ (uniforms[:, tau - 1] < p), p)
         over = np.flatnonzero(batch.k > 2 * tau + 1)
@@ -335,19 +319,3 @@ def run_batch(
             estimates[:, c] = batch.peak()
             c += 1
     return truth, estimates
-
-
-def count_trials(
-    config: SearchConfig, checkpoints: Optional[tuple], start: int, stop: int
-) -> tuple[np.ndarray, int]:
-    """:func:`sim._count_trials` on the batch engine: trials ``start..stop-1``
-    in near-equal batches of at most ``CELLS // (2n + 3)`` and ``ROWS`` rows."""
-    steps = config.stopping.n
-    rows = max(1, min(ROWS, CELLS // (2 * steps + 3)))
-    count = -(-(stop - start) // rows)
-    edges = np.linspace(start, stop, count + 1, dtype=int).tolist()
-    errors = np.zeros(len(checkpoints) if checkpoints else 1, dtype=np.int64)
-    for a, b in zip(edges[:-1], edges[1:]):
-        truth, estimates = run_batch(config, checkpoints, a, b)
-        errors += np.count_nonzero(estimates != truth[:, None], axis=0)
-    return errors, (stop - start) * steps

@@ -106,11 +106,14 @@ def eval_noise(profile: NoiseProfile, size_fraction: float) -> float:
     """
     if not (0.0 <= size_fraction <= 0.5):
         raise ValueError(f"size_fraction must be in [0, 0.5], got {size_fraction}")
+    return min(max(_raw_noise(profile, size_fraction), profile.p_floor), P_CEILING)
+
+
+def _raw_noise(profile: NoiseProfile, x):
+    """The profile's value at ``x`` (a float or a float64 array), unclamped."""
     if isinstance(profile, AffineNoise):
-        raw = profile.a + profile.b * size_fraction
-    else:
-        raw = profile.p
-    return min(max(raw, profile.p_floor), P_CEILING)
+        return profile.a + profile.b * x
+    return profile.p
 
 
 def noise_for_size(profile: NoiseProfile, size_fraction: float) -> float:
@@ -121,6 +124,14 @@ def noise_for_size(profile: NoiseProfile, size_fraction: float) -> float:
     on [0, 1/2] and its maximum over all query sets is attained there.
     """
     return eval_noise(profile, min(size_fraction, 0.5))
+
+
+def _noise_for_sizes(profile: NoiseProfile, fractions: np.ndarray) -> np.ndarray:
+    """:func:`noise_for_size` elementwise over an array of query fractions in
+    ``[0, 1]``: the same floats, clamped by the same max and then min."""
+    raw = _raw_noise(profile, np.minimum(fractions, 0.5))
+    p = np.minimum(np.maximum(raw, profile.p_floor), P_CEILING)
+    return np.broadcast_to(p, fractions.shape)
 
 
 def sample_observation(

@@ -286,15 +286,35 @@ def episode_final_posterior(config: SearchConfig, trial_index: int = 0) -> Poste
     return state.freeze()
 
 
-def _batched(config: SearchConfig) -> bool:
-    """Whether a run's trials go to the lockstep engine (:mod:`._batch`):
+# The lockstep engine (:mod:`._batch`) beats the scalar one only from some
+# tens of rows per batch: at L = 8..20 and n = 12..300 it breaks even near
+# 24 rows for median and 48-64 for dya and hie, and at one row it is 15-30x
+# slower.  Each of a batch's (rows, 2n + 3) arrays holds at most
+# _BATCH_CELLS cells (256 KiB), and a batch at most _BATCH_MAX_ROWS rows:
+# past a few hundred rows numpy's per-call cost is spread thin, while the
+# batch's (rows,) vectors keep growing.
+_BATCH_MIN_ROWS = 64
+_BATCH_CELLS = 1 << 15
+_BATCH_MAX_ROWS = 1 << 10
+
+
+def _lockstep_batches(config: SearchConfig, trials: int) -> int:
+    """How many near-equal lockstep batches ``trials`` trials of a run are
+    cut into, or 0 when they go to the scalar engine.  Batched are
     fixed-length connected-rule runs, at ``L`` where bin arithmetic is exact
-    in float64."""
-    return (
+    in float64, whose batches under the two caps have at least
+    ``_BATCH_MIN_ROWS`` rows each."""
+    if not (
         isinstance(config.stopping, FixedLength)
         and config.strategy is not StrategyKind.SORT_PM
         and 1 <= config.L <= 53
-    )
+    ):
+        return 0
+    cap = min(_BATCH_MAX_ROWS, _BATCH_CELLS // (2 * config.stopping.n + 3))
+    if cap < _BATCH_MIN_ROWS:
+        return 0
+    count = -(-trials // cap)
+    return count if trials // count >= _BATCH_MIN_ROWS else 0
 
 
 def _count_trials(
@@ -302,11 +322,16 @@ def _count_trials(
 ) -> tuple[np.ndarray, int]:
     """Counts over trials ``start..stop-1``: errors at each checkpoint (or of
     the final estimate, without checkpoints) and the sum of stopping times."""
-    if _batched(config):
-        from ._batch import count_trials  # imported only by the runs that use it
-
-        return count_trials(config, checkpoints, start, stop)
     errors = np.zeros(len(checkpoints) if checkpoints else 1, dtype=np.int64)
+    batches = _lockstep_batches(config, stop - start)
+    if batches:
+        from ._batch import run_batch  # imported only by the runs that use it
+
+        edges = np.linspace(start, stop, batches + 1, dtype=int).tolist()
+        for a, b in zip(edges[:-1], edges[1:]):
+            truth, estimates = run_batch(config, checkpoints, a, b)
+            errors += np.count_nonzero(estimates != truth[:, None], axis=0)
+        return errors, (stop - start) * config.stopping.n
     tau_sum = 0
     for i in range(start, stop):
         rec, _ = _run(config, trial_rng(config.seed, i), False, checkpoints)
@@ -321,9 +346,10 @@ def _map_trials(
     config: SearchConfig, checkpoints: Optional[tuple[int, ...]], trials: int, workers: int
 ) -> tuple[np.ndarray, int]:
     """:func:`_count_trials` over all trials, chunked on at most ``os.cpu_count()``
-    processes; the integer counts do not depend on the chunking.  A batched
-    run is cut into one chunk per process, since the lockstep engine gains
-    with the rows of a batch; a scalar run into four per process."""
+    processes; the integer counts do not depend on the chunking.  A run
+    whose chunks would be batched is cut into one chunk per process, since
+    the lockstep engine gains with the rows of a batch; any other run into
+    four per process."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
@@ -332,7 +358,7 @@ def _map_trials(
     if workers <= 1:
         return _count_trials(config, checkpoints, 0, trials)
     chunks = workers * 4
-    if _batched(config):
+    if _lockstep_batches(config, trials // workers):
         from . import _batch  # noqa: F401  loaded before the pool forks its workers
 
         chunks = workers

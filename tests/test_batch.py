@@ -10,9 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from noisysearch import _batch, sim
+from noisysearch import _batch, sim, strategies
 from noisysearch.channel import AffineNoise, ConstantNoise
 from noisysearch.errors import ContractViolationError
+from noisysearch.posterior import _Partition
 from noisysearch.sim import FixedLength, SearchConfig, VariableLength, trial_rng
 from noisysearch.strategies import StrategyKind
 
@@ -61,6 +62,92 @@ def test_rows_equal_scalar_episodes(kind, L, profile):
             assert_rows_match(config(kind, L, profile, n, target), 0, sizes)
 
 
+@pytest.mark.parametrize("profile", PROFILES.values(), ids=PROFILES.keys())
+@pytest.mark.parametrize("L", (2, 8, 20))
+@pytest.mark.parametrize("kind", CONNECTED, ids=lambda k: k.value)
+def test_every_step_equals_scalar_partition(kind, L, profile, monkeypatch):
+    # after every update, each row holds the query, answer, crossover and
+    # interval starts, masses and prefix sums of the scalar _Partition, and
+    # pads up to the widest row hold start n + 1, mass 0 and the row's total
+    cfg = config(kind, L, profile, 40, seed=9)
+    rows, n = 20, cfg.n_bins
+    scalar = []  # per trial, per step
+    update = _Partition.update
+
+    def record(state, s1, s2, y, p):
+        update(state, s1, s2, y, p)
+        scalar[-1].append((s1, s2, bool(y), p, state.los[:], state.masses[:], state.cums[:]))
+
+    monkeypatch.setattr(_Partition, "update", record)
+    for i in range(rows):
+        scalar.append([])
+        sim._run(cfg, trial_rng(cfg.seed, i), False, None)
+
+    batched = []
+    batch_update = _batch._Batch.update
+
+    def record_batch(batch, s1, s2, y, p):
+        batch_update(batch, s1, s2, y, p)
+        batched.append(tuple(a.copy() for a in (s1, s2, y, p, batch.los, batch.masses,
+                                                  batch.cums, batch.k)) + (batch.w,))
+
+    monkeypatch.setattr(_batch._Batch, "update", record_batch)
+    _batch.run_batch(cfg, None, 0, rows)
+    assert len(batched) == 40
+    for t, (s1, s2, y, p, los, masses, cums, k, w) in enumerate(batched):
+        assert w == k.max()
+        for i in range(rows):
+            j = k[i]
+            got = (s1[i], s2[i], bool(y[i]), p[i], los[i, :j].tolist(),
+                   masses[i, :j].tolist(), cums[i, :j].tolist())
+            assert got == scalar[i][t], (t, i)
+            assert (los[i, j : w + 1] == n + 1).all(), (t, i)
+            assert (masses[i, j:w] == 0.0).all(), (t, i)
+            assert (cums[i, j:w] == cums[i, j - 1]).all(), (t, i)
+
+
+@pytest.mark.parametrize("kind", CONNECTED, ids=lambda k: k.value)
+def test_reads_equal_partition_reads(kind, monkeypatch):
+    # prefix and first_reaching of a batch after 8 steps, against a
+    # _Partition holding each row's intervals, at every interval's ends and
+    # middle and at targets on, between and beyond the prefix sums, and
+    # _best_prefix_end from every interval start
+    seen = []
+    update = _batch._Batch.update
+
+    def keep(batch, *args):
+        update(batch, *args)
+        seen.append(batch)
+
+    monkeypatch.setattr(_batch._Batch, "update", keep)
+    _batch.run_batch(config(kind, 12, PROFILES["affine"], 8), None, 0, 20)
+    batch = seen[-1]
+    parts = []
+    for i in range(20):
+        j = batch.k[i]
+        his = (batch.los[i, 1 : j + 1] - 1).tolist()
+        parts.append(_Partition(batch.los[i, :j].tolist(), his, batch.masses[i, :j].tolist(),
+                                batch.cums[i, :j].tolist()))
+    for i, part in enumerate(parts):
+        bins = sorted({0} | {b for lo, hi in zip(part.los, part.his)
+                             for b in (lo, (lo + hi) // 2, hi)})
+        got = batch.prefix(np.full(len(bins), i), np.array(bins))
+        assert got.tolist() == [part.prefix(b) for b in bins], i
+    for c in range(batch.w):
+        for shift in (-1e-3, 0.0, 1e-3, 0.7):
+            target = batch.cums[:, c] + shift
+            ks, js = batch.first_reaching(target)
+            for i, part in enumerate(parts):
+                assert (ks[i], js[i]) == part.first_reaching(target[i]), (c, shift, i)
+    for c in range(batch.w):
+        start = batch.los[:, c].copy()
+        start[start > batch.n] = 1  # rows with fewer intervals start at bin 1
+        base = batch.prefix(None, start - 1)
+        got = _batch._best_prefix_end(batch, start, base)
+        for i, part in enumerate(parts):
+            assert got[i] == strategies._best_prefix_end(part, start[i], base[i]), (c, i)
+
+
 @pytest.mark.parametrize("kind", CONNECTED, ids=lambda k: k.value)
 def test_batches_of_37_and_150_rows(kind):
     assert_rows_match(config(kind, 12, PROFILES["affine"], 60), 100, (37, 150), horizon=True)
@@ -68,24 +155,45 @@ def test_batches_of_37_and_150_rows(kind):
 
 @pytest.mark.parametrize("kind", CONNECTED, ids=lambda k: k.value)
 def test_counts_equal_scalar_counts(kind, monkeypatch):
-    cfg = config(kind, 10, PROFILES["affine"], 30)
-    cps = (5, 10, 20, 30)
-    batched = sim._count_trials(cfg, cps, 3, 45)
-    monkeypatch.setattr(sim, "_batched", lambda config: False)
-    scalar = sim._count_trials(cfg, cps, 3, 45)
+    # 137 trials at n = 200 (at most 81 rows a batch) run as batches of 68 and 69
+    cfg = config(kind, 10, PROFILES["affine"], 200)
+    cps = (5, 50, 120, 200)
+    assert sim._lockstep_batches(cfg, 137) == 2
+    batched = sim._count_trials(cfg, cps, 3, 140)
+    monkeypatch.setattr(sim, "_lockstep_batches", lambda config, trials: 0)
+    scalar = sim._count_trials(cfg, cps, 3, 140)
     assert np.array_equal(batched[0], scalar[0]) and batched[1] == scalar[1]
 
 
 def test_dispatch():
     affine = PROFILES["affine"]
+    batches = sim._lockstep_batches
     for kind in CONNECTED:
-        assert sim._batched(config(kind, 12, affine, 10))
-        assert sim._batched(config(kind, 53, affine, 10))
-        assert not sim._batched(config(kind, 54, affine, 10))
-        assert not sim._batched(config(kind, 0, affine, 10))
-        assert not sim._batched(SearchConfig(L=12, strategy=kind, profile=affine,
-                                             stopping=VariableLength(1e-3), seed=1))
-    assert not sim._batched(config(StrategyKind.SORT_PM, 12, affine, 10))
+        assert batches(config(kind, 12, affine, 10), 64) == 1
+        assert batches(config(kind, 53, affine, 10), 150) == 1
+        assert batches(config(kind, 12, affine, 1), 1025) == 2  # at most 1024 rows
+        assert batches(config(kind, 12, affine, 200), 162) == 2  # at most 81 rows
+        assert batches(config(kind, 12, affine, 254), 64) == 1  # 64 rows of 511 cells fit
+        # below the crossover: a small run, or a split into batches below it
+        assert batches(config(kind, 12, affine, 10), 63) == 0
+        assert batches(config(kind, 12, affine, 200), 127) == 0
+        assert batches(config(kind, 12, affine, 255), 1000) == 0
+        assert batches(config(kind, 54, affine, 10), 150) == 0
+        assert batches(config(kind, 0, affine, 10), 150) == 0
+        assert batches(SearchConfig(L=12, strategy=kind, profile=affine,
+                                    stopping=VariableLength(1e-3), seed=1), 150) == 0
+    assert batches(config(StrategyKind.SORT_PM, 12, affine, 10), 150) == 0
+
+
+def test_small_runs_take_the_scalar_engine(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a small run reached the batch engine")
+
+    monkeypatch.setattr(_batch, "run_batch", refuse)
+    for kind in CONNECTED:
+        cfg = config(kind, 12, PROFILES["affine"], 60)
+        sim.run_monte_carlo(cfg, 1)
+        sim.sweep_error_vs_queries(cfg, [10, 60], 63)
 
 
 @pytest.mark.parametrize("seed", (0, 7, 2**63 + 5))
@@ -124,9 +232,9 @@ def test_interval_count_check_fires(monkeypatch):
 @pytest.mark.parametrize("n", (1, 60))
 @pytest.mark.parametrize("kind", CONNECTED, ids=lambda k: k.value)
 def test_batch_memory_within_cell_budget(kind, n):
-    # the largest batch count_trials builds, the most rows (n = 1) or the
-    # most cells per row, peaks below ten arrays of CELLS float64 cells
-    rows = min(_batch.ROWS, _batch.CELLS // (2 * n + 3))
+    # the largest batch _count_trials builds, the most rows (n = 1) or the
+    # most cells per row, peaks below ten arrays of _BATCH_CELLS float64 cells
+    rows = min(sim._BATCH_MAX_ROWS, sim._BATCH_CELLS // (2 * n + 3))
     cfg = config(kind, 20, PROFILES["affine"], n)
     tracemalloc.start()
     try:
@@ -134,4 +242,4 @@ def test_batch_memory_within_cell_budget(kind, n):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 8 * _batch.CELLS
+    assert peak <= 10 * 8 * sim._BATCH_CELLS

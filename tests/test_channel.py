@@ -13,6 +13,7 @@ from noisysearch.channel import (
     AffineNoise,
     BernoulliPair,
     ConstantNoise,
+    _noise_for_sizes,
     binary_entropy,
     eval_noise,
     kl_bernoulli,
@@ -57,6 +58,16 @@ class TestEvalNoise:
         assert noise_for_size(AFFINE, 0.75) == eval_noise(AFFINE, 0.5)
         assert noise_for_size(AFFINE, 1.0) == eval_noise(AFFINE, 0.5)
         assert noise_for_size(AFFINE, 0.3) == eval_noise(AFFINE, 0.3)
+
+    def test_array_form_equals_scalar_form(self):
+        # inside the profile, below the floor, above the ceiling, and saturated
+        fracs = np.array([0.0, 1e-9, 0.1, 1 / 3, 0.5, 0.5000001, 0.75, 1.0])
+        for profile in (AFFINE, AffineNoise(0.0, 1.5), AffineNoise(0.0, 0.0),
+                        ConstantNoise(0.2), ConstantNoise(0.05, p_floor=0.1),
+                        ConstantNoise(0.7), ConstantNoise(0.0, p_floor=0.0)):
+            got = _noise_for_sizes(profile, fracs)
+            assert got.shape == fracs.shape
+            assert got.tolist() == [noise_for_size(profile, x) for x in fracs.tolist()]
 
     def test_bad_profiles_rejected(self):
         with pytest.raises(ValueError):

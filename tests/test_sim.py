@@ -250,11 +250,7 @@ class TestGatedPeakScan:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_sweep_scans_once_per_checkpoint(self, kind, peak_calls):
         cfg = config(L=12, strategy=kind, stopping=FixedLength(self.SWEEP[-1]), seed=47)
-        if kind is StrategyKind.SORT_PM:
-            sweep_error_vs_queries(cfg, self.SWEEP, 5)
-        else:  # a connected sweep runs on the batch engine, checked below
-            for i in range(5):
-                run_episode(cfg, trial_rng(cfg.seed, i), checkpoint_steps=self.SWEEP)
+        sweep_error_vs_queries(cfg, self.SWEEP, 5)
         assert len(peak_calls) == 5 * len(self.SWEEP)
 
     @pytest.mark.parametrize("kind", CONNECTED)
@@ -269,8 +265,8 @@ class TestGatedPeakScan:
 
         monkeypatch.setattr(_batch._Batch, "peak", counted)
         cfg = config(L=12, strategy=kind, stopping=FixedLength(self.SWEEP[-1]), seed=47)
-        sweep_error_vs_queries(cfg, self.SWEEP, 5)
-        assert rows == [5] * len(self.SWEEP)
+        sweep_error_vs_queries(cfg, self.SWEEP, 64)
+        assert rows == [64] * len(self.SWEEP)
 
     def test_interval_count_check_fires(self, monkeypatch):
         # dyaPM's single-bin queries cut twice, so one more interval breaks 2t + 1
