@@ -44,6 +44,10 @@ CLI_CASES = {
                                           "--format", "json"], None),
     "sweep-dya-w2": (["sweep", "--strategy", "dya", "--L", "7", *AFFINE, "--n", "5:30:5",
                       "--trials", "60", "--seed", "3", "--workers", "2"], None),
+    "sweep-sort-w2": (["sweep", "--strategy", "sort", "--L", "8", *AFFINE, "--n", "5:40:5",
+                       "--trials", "128", "--seed", "3", "--workers", "2"], None),
+    "simulate-hie-fl-w2": (["simulate", "--strategy", "hie", "--L", "8", *AFFINE, "--fl", "20",
+                            "--trials", "100", "--seed", "3", "--workers", "2"], None),
     "dump-partition-hie": (["simulate", "--strategy", "hie", "--L", "8", *AFFINE,
                             "--vl", "0.001", "--trials", "5", "--seed", "11"],
                            "--dump-partition"),
@@ -59,6 +63,8 @@ GOLDEN_CLI = {
     "simulate-dya-fl": "62ecddc7d08bfa23fda2a562bca4ef95c1cc31c7e502f3ac79bb1ebddf357c84",
     "simulate-median-fl-constant-json": "83af41559c68b84eea552240827f9234fe247d47dbd058ceb10f2e2e1b767355",
     "sweep-dya-w2": "a8c5177f2cfa7cdf0a6512fd1e50c7021e62ea0d495f032009720ae8a254dd9e",
+    "sweep-sort-w2": "78e950bba844685f1adf5565189816181b06503e0ab0e4699252c62b8730e5de",
+    "simulate-hie-fl-w2": "fd8f261360fd5eab7f172ae921d40333e561181d466e17045da3bb403715ea75",
     "dump-partition-hie": "30b0fb592ef9c2fa228c836605eea615a113b889f92fee71a2449aab7fb21b93",
     "bounds": "9df85a159c1346d4fa169a6d71d3705d9459088faff60fecd10be5f5327e489e",
     "frontier": "29794db2469586fcea4584234f88f181a4ea6fb2b59da704938dcba94b265532",
