@@ -1,12 +1,13 @@
-"""Fixed-length trials of the connected rules, run in lockstep.
+"""Fixed-length trials, run in lockstep.
 
-:func:`run_batch` runs a batch of fixed-length ``median``, ``dya`` or
-``hie`` trials step by step on ``(rows, width)`` arrays, one row per trial,
-instead of one trial at a time; :func:`sim._count_trials` sends it the
-batches that :func:`sim._lockstep_batches` sizes.
+:func:`run_batch` runs a batch of fixed-length trials of any rule step by
+step on ``(rows, width)`` arrays, one row per trial, instead of one trial at
+a time; :func:`sim._count_trials` sends it the batches that
+:func:`sim._lockstep_batches` sizes.
 Every operation is a row-wise copy of the scalar kernel's
-(:class:`posterior._Partition`, :func:`strategies._heaviest`,
-:func:`strategies._best_prefix_end`): the same floating-point operations on
+(:class:`posterior._Partition`, :func:`strategies._heaviest` and
+:func:`strategies._best_prefix_end` for ``median``, ``dya`` and ``hie``;
+:class:`posterior._Runs` for ``sort``): the same floating-point operations on
 the same operands in the same order, so each row's queries, posterior and
 estimates are bit for bit those of :func:`sim._run` on the same stream.  In
 particular every in-order sum is an ``np.cumsum`` along the interval axis,
@@ -161,6 +162,143 @@ class _Batch:
         return self.los.take(self.at(None) + np.argmax(density, axis=1))
 
 
+class _RunBatch:
+    """Row ``r`` holds the runs of :class:`posterior._Runs`: its first
+    ``k[r]`` columns are the runs, and the rest pad, with start ``n + 1``
+    and value 0.
+
+    Run ``u`` ends at ``los[r, u + 1] - 1``, so a pad has width 0 and adds
+    0.0 to every in-order sum, and it sorts after every run, since it is
+    last among the smallest values.  ``w`` is the widest row's run count;
+    only the first ``w`` (``w + 1`` for ``los``) columns are read.  The
+    arrays, and the flags :meth:`select` returns, share their shape, so one
+    flat index, ``row0 + u``, reads column ``u`` of each.
+    """
+
+    __slots__ = ("los", "vals", "k", "w", "n", "r", "cols", "row0")
+
+    def __init__(self, rows: int, n: int, steps: int):
+        # room for t + 1 runs after t queries and the pad column of los
+        self.cols = cols = steps + 2
+        self.los = np.full((rows, cols), n + 1, dtype=np.int64)
+        self.los[:, 0] = 1
+        self.vals = np.zeros((rows, cols))
+        self.vals[:, 0] = 1.0 / n
+        self.k = np.ones(rows, dtype=np.int64)
+        self.w = 1
+        self.n = n
+        self.r = np.arange(rows)
+        self.row0 = self.r * cols
+
+    def select(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row-wise :meth:`_Runs.select`: ``(flags, size)``, the membership
+        of each run and the bin count of the query; cuts at most one run
+        per row."""
+        flags, i, taken, size = self._crossing()
+        at = self.row0 + i
+        lo = self.los.take(at)
+        wi = self.los.take(at + 1) - lo
+        v = self.vals.take(at)
+        # j0: fewest bins of run i whose total reaches 1/2; j0 - 1 wins a tie
+        j0 = np.minimum(np.maximum(np.ceil((0.5 - taken) / v), 1), wi).astype(np.int64)
+        up = np.flatnonzero((j0 < wi) & (taken + j0 * v < 0.5))
+        while up.size:
+            j0[up] += 1
+            up = up[(j0[up] < wi[up]) & (taken[up] + j0[up] * v[up] < 0.5)]
+        down = np.flatnonzero((j0 > 1) & (taken + (j0 - 1) * v >= 0.5))
+        while down.size:
+            j0[down] -= 1
+            down = down[(j0[down] > 1) & (taken[down] + (j0[down] - 1) * v[down] >= 0.5)]
+        lower = (size + j0 > 1) & (np.abs(taken + (j0 - 1) * v - 0.5) <= np.abs(taken + j0 * v - 0.5))
+        j = j0 - lower
+        flags.flat[at] = j > 0  # the whole run, or its first j bins after the cut
+        cut = (j > 0) & (j < wi)
+        if cut.any():
+            self._cut(flags, cut, i, lo + j)
+        return flags, size + j
+
+    def _crossing(self) -> tuple:
+        """The taken runs of each row, in order of decreasing value, ties to
+        the smaller index, before the mass reaches 1/2: ``(flags, i, taken,
+        size)``, with ``i`` the run that crosses 1/2, and ``taken`` and
+        ``size`` the mass and bin count before it."""
+        w, r = self.w, self.r
+        los = self.los[:, : w + 1]
+        vals = self.vals[:, :w]
+        widths = los[:, 1:] - los[:, :-1]
+        # the order of sorted(..., reverse=True), which is stable
+        order = np.argsort(-vals, axis=1, kind="stable")
+        taken_after = np.cumsum(np.take_along_axis(vals * widths, order, axis=1), axis=1)
+        s = np.argmax(taken_after >= 0.5, axis=1)
+        if not (taken_after[r, s] >= 0.5).all():
+            raise ContractViolationError("posterior mass below 1/2")
+        flags = np.zeros(self.los.shape, dtype=bool)
+        np.put_along_axis(flags[:, :w], order, np.arange(w) < s[:, None], axis=1)
+        size = np.sum(widths, axis=1, where=flags[:, :w])
+        taken = np.where(s > 0, taken_after[r, s - 1], 0.0)
+        return flags, order[r, s], taken, size
+
+    def _cut(self, flags: np.ndarray, cut: np.ndarray, i: np.ndarray, b: np.ndarray) -> None:
+        """In the rows ``cut``, split run ``i`` so that a run starts at bin
+        ``b``; the new run keeps the value and is not flagged."""
+        w = self.w
+        if w + 2 > self.cols:
+            raise ContractViolationError(f"a row holds more than {w} runs")
+        # column i + 1 of a cutting row reads column i, and the rest move up
+        pos = np.where(cut, i + 1, w + 1)
+        c = np.arange(w + 2)
+        src = self.row0[:, None] + c - (c >= pos[:, None])
+        self.los[:, : w + 2] = self.los.take(src)
+        self.vals[:, : w + 1] = self.vals.take(src[:, :-1])
+        flags[:, : w + 1] = flags.take(src[:, :-1])
+        rows, at = self.r[cut], pos[cut]
+        self.los[rows, at] = b[cut]
+        flags[rows, at] = False
+        self.k = self.k + cut
+        self.w = int(self.k.max())
+
+    def member(self, flags: np.ndarray, truth: np.ndarray) -> np.ndarray:
+        """Whether each row's ``truth`` lies in a flagged run."""
+        u = np.count_nonzero(self.los[:, : self.w] <= truth[:, None], axis=1) - 1
+        return flags.take(self.row0 + u)
+
+    def update(self, flags: np.ndarray, y: np.ndarray, p: np.ndarray) -> None:
+        """Row-wise :meth:`_Runs.update` for the query of the runs flagged
+        in ``flags``, answered ``y`` through crossovers ``p``."""
+        w = self.w
+        in_lik = np.where(y, 1.0 - p, p)
+        out_lik = np.where(y, p, 1.0 - p)
+        new = self.vals[:, :w] * np.where(flags[:, :w], in_lik[:, None], out_lik[:, None])
+        los = self.los[:, : w + 1]
+        total = np.cumsum(new * (los[:, 1:] - los[:, :-1]), axis=1)[:, -1]
+        if (total <= 0.0).any():
+            raise ZeroLikelihoodError("all posterior mass has zero likelihood")
+        new /= total[:, None]
+        # merge neighbours whose values became equal: keep each run that
+        # differs from the one before it
+        keep = np.ones(new.shape, dtype=bool)
+        keep[:, 1:] = new[:, 1:] != new[:, :-1]
+        keep &= np.arange(w) < self.k[:, None]
+        k = np.count_nonzero(keep, axis=1)
+        if (k == self.k).all():
+            self.vals[:, :w] = new
+            return
+        # the kept runs first, in their order
+        order = np.argsort(~keep, axis=1, kind="stable")
+        self.los[:, :w] = np.take_along_axis(los[:, :w], order, axis=1)
+        self.vals[:, :w] = np.take_along_axis(new, order, axis=1)
+        pad = np.arange(w + 1) >= k[:, None]
+        self.los[:, : w + 1][pad] = self.n + 1
+        self.vals[:, :w][pad[:, :w]] = 0.0
+        self.k = k
+        self.w = int(k.max())
+
+    def peak(self) -> np.ndarray:
+        """Row-wise :meth:`_Runs.peak`'s bin: the start of the first run of
+        largest value."""
+        return self.los.take(self.row0 + np.argmax(self.vals[:, : self.w], axis=1))
+
+
 def _heaviest(batch: _Batch, depth: int, level: np.ndarray, m: np.ndarray) -> tuple:
     """Row-wise :func:`strategies._heaviest` from the nodes ``(level, m)``,
     arrays it may modify: returns ``(level, m, pref_lo, pref_mid, pref_hi)``,
@@ -284,9 +422,9 @@ def _select(kind: StrategyKind, batch: _Batch, depth: int, level, m) -> tuple:
 def run_batch(
     config: SearchConfig, checkpoints: Optional[tuple], start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Trials ``start..stop-1`` of a fixed-length connected-rule run:
-    ``(truth, estimates)``, with ``estimates[i, c]`` trial ``start + i``'s
-    estimate after ``checkpoints[c]`` steps (after the horizon, without
+    """Trials ``start..stop-1`` of a fixed-length run: ``(truth,
+    estimates)``, with ``estimates[i, c]`` trial ``start + i``'s estimate
+    after ``checkpoints[c]`` steps (after the horizon, without
     checkpoints)."""
     n, depth, steps = config.n_bins, config.L, config.stopping.n
     rows = stop - start
@@ -300,20 +438,30 @@ def run_batch(
     cps = checkpoints or (steps,)
     estimates = np.empty((rows, len(cps)), dtype=np.int64)
 
-    batch = _Batch(rows, n, steps)
+    sort = config.strategy is StrategyKind.SORT_PM
+    # sortPM cuts at most one run per query, a connected query at most two
+    batch = _RunBatch(rows, n, steps) if sort else _Batch(rows, n, steps)
+    cuts_per_step = 1 if sort else 2
     level = np.zeros(rows, dtype=np.int64)
     m = np.zeros(rows, dtype=np.int64)
     c = 0
     for tau in range(1, steps + 1):
-        s1, s2, level, m = _select(config.strategy, batch, depth, level, m)
-        p = _noise_for_sizes(config.profile, (s2 - s1 + 1) / n)
-        member = (s1 <= truth) & (truth <= s2)
-        batch.update(s1, s2, member ^ (uniforms[:, tau - 1] < p), p)
-        over = np.flatnonzero(batch.k > 2 * tau + 1)
+        if sort:
+            flags, size = batch.select()
+            member = batch.member(flags, truth)
+            query = (flags,)
+        else:
+            s1, s2, level, m = _select(config.strategy, batch, depth, level, m)
+            size = s2 - s1 + 1
+            member = (s1 <= truth) & (truth <= s2)
+            query = (s1, s2)
+        p = _noise_for_sizes(config.profile, size / n)
+        batch.update(*query, member ^ (uniforms[:, tau - 1] < p), p)
+        over = np.flatnonzero(batch.k > cuts_per_step * tau + 1)
         if over.size:
             raise ContractViolationError(
                 f"posterior has {batch.k[over[0]]} intervals after {tau} queries, "
-                f"exceeding {2 * tau + 1}"
+                f"exceeding {cuts_per_step * tau + 1}"
             )
         if c < len(cps) and tau == cps[c]:
             estimates[:, c] = batch.peak()

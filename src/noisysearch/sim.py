@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -288,29 +287,28 @@ def episode_final_posterior(config: SearchConfig, trial_index: int = 0) -> Poste
 
 # The lockstep engine (:mod:`._batch`) beats the scalar one only from some
 # tens of rows per batch: at L = 8..20 and n = 12..300 it breaks even near
-# 24 rows for median and 48-64 for dya and hie, and at one row it is 15-30x
-# slower.  Each of a batch's (rows, 2n + 3) arrays holds at most
-# _BATCH_CELLS cells (256 KiB), and a batch at most _BATCH_MAX_ROWS rows:
+# 24 rows for median, 16-32 for sort and 48-64 for dya and hie, and at one
+# row it is 7-30x slower.  Each of a batch's (rows, width) arrays, of width
+# 2n + 3 for the connected rules and n + 2 for sort, holds at most
+# _BATCH_CELLS cells (512 KiB), and a batch at most _BATCH_MAX_ROWS rows:
 # past a few hundred rows numpy's per-call cost is spread thin, while the
 # batch's (rows,) vectors keep growing.
 _BATCH_MIN_ROWS = 64
-_BATCH_CELLS = 1 << 15
+_BATCH_CELLS = 1 << 16
 _BATCH_MAX_ROWS = 1 << 10
 
 
 def _lockstep_batches(config: SearchConfig, trials: int) -> int:
     """How many near-equal lockstep batches ``trials`` trials of a run are
     cut into, or 0 when they go to the scalar engine.  Batched are
-    fixed-length connected-rule runs, at ``L`` where bin arithmetic is exact
-    in float64, whose batches under the two caps have at least
-    ``_BATCH_MIN_ROWS`` rows each."""
-    if not (
-        isinstance(config.stopping, FixedLength)
-        and config.strategy is not StrategyKind.SORT_PM
-        and 1 <= config.L <= 53
-    ):
+    fixed-length runs, at ``L`` where bin arithmetic is exact in float64,
+    whose batches under the two caps have at least ``_BATCH_MIN_ROWS`` rows
+    each."""
+    if not (isinstance(config.stopping, FixedLength) and 1 <= config.L <= 53):
         return 0
-    cap = min(_BATCH_MAX_ROWS, _BATCH_CELLS // (2 * config.stopping.n + 3))
+    n = config.stopping.n
+    width = n + 2 if config.strategy is StrategyKind.SORT_PM else 2 * n + 3
+    cap = min(_BATCH_MAX_ROWS, _BATCH_CELLS // width)
     if cap < _BATCH_MIN_ROWS:
         return 0
     count = -(-trials // cap)
@@ -345,24 +343,32 @@ def _count_trials(
 def _map_trials(
     config: SearchConfig, checkpoints: Optional[tuple[int, ...]], trials: int, workers: int
 ) -> tuple[np.ndarray, int]:
-    """:func:`_count_trials` over all trials, chunked on at most ``os.cpu_count()``
-    processes; the integer counts do not depend on the chunking.  A run
-    whose chunks would be batched is cut into one chunk per process, since
-    the lockstep engine gains with the rows of a batch; any other run into
-    four per process."""
+    """:func:`_count_trials` over all trials, chunked on at most ``workers``
+    and at most ``os.cpu_count()`` processes; the integer counts do not
+    depend on the chunking.  A batched run starts one process per lockstep
+    batch at most, each with a whole number of batches, since a batch's
+    time grows little with its rows: a run of one batch stays in the
+    calling process.  Any other run is cut into four chunks per process."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
+    batches = _lockstep_batches(config, trials)
+    if batches:
+        workers = min(workers, batches)
     if workers <= 1:
         return _count_trials(config, checkpoints, 0, trials)
-    chunks = workers * 4
-    if _lockstep_batches(config, trials // workers):
+    if batches:
         from . import _batch  # noqa: F401  loaded before the pool forks its workers
 
-        chunks = workers
-    edges = np.linspace(0, trials, min(chunks, trials) + 1, dtype=int).tolist()
+        # chunk edges on batch edges, so that every chunk's batches keep their rows
+        starts = np.linspace(0, trials, batches + 1, dtype=int)
+        edges = starts[np.linspace(0, batches, workers + 1, dtype=int)].tolist()
+    else:
+        edges = np.linspace(0, trials, min(workers * 4, trials) + 1, dtype=int).tolist()
+    from concurrent.futures import ProcessPoolExecutor  # only runs that start a pool pay for it
+
     errors = 0
     tau_sum = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -12,12 +12,14 @@ import pytest
 
 from noisysearch import _batch, sim, strategies
 from noisysearch.channel import AffineNoise, ConstantNoise
-from noisysearch.errors import ContractViolationError
-from noisysearch.posterior import _Partition
+from noisysearch.errors import ContractViolationError, ZeroLikelihoodError
+from noisysearch.posterior import _Partition, _Runs
 from noisysearch.sim import FixedLength, SearchConfig, VariableLength, trial_rng
 from noisysearch.strategies import StrategyKind
 
 CONNECTED = (StrategyKind.MEDIAN_PM, StrategyKind.DYA_PM, StrategyKind.HIE_PM)
+SORT = StrategyKind.SORT_PM
+ALL_KINDS = CONNECTED + (SORT,)
 PROFILES = {
     "affine": AffineNoise(0.1, 0.5),
     "constant": ConstantNoise(0.2),
@@ -28,6 +30,16 @@ PROFILES = {
 def config(kind, L, profile, n, target=None, seed=11) -> SearchConfig:
     return SearchConfig(L=L, strategy=kind, profile=profile, stopping=FixedLength(n),
                         seed=seed, target=target)
+
+
+def row_width(kind, n: int) -> int:
+    """Cells per row of the batch arrays at horizon ``n``."""
+    return n + 2 if kind is SORT else 2 * n + 3
+
+
+def horizon(kind, width: int) -> int:
+    """The horizon whose rows are ``width`` cells wide (``width`` odd)."""
+    return width - 2 if kind is SORT else (width - 3) // 2
 
 
 def checkpoints(n: int) -> tuple:
@@ -55,7 +67,7 @@ def assert_rows_match(cfg, start: int, sizes: tuple, horizon: bool = False) -> N
 
 @pytest.mark.parametrize("profile", PROFILES.values(), ids=PROFILES.keys())
 @pytest.mark.parametrize("L", (1, 2, 8, 12, 20))
-@pytest.mark.parametrize("kind", CONNECTED, ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_rows_equal_scalar_episodes(kind, L, profile):
     for target in (None, 1 << (L - 1)):
         for n, sizes in ((1, (37, 2, 1)), (7, (37, 2, 1)), (60, (2,))):
@@ -106,6 +118,101 @@ def test_every_step_equals_scalar_partition(kind, L, profile, monkeypatch):
             assert (cums[i, j:w] == cums[i, j - 1]).all(), (t, i)
 
 
+# (profile, L, seed, first trial, rows); n = 60 on each.  Constant noise
+# makes exact value ties between runs; "collapsed" reaches steps where every
+# row's peak is 1.0, so that no row cuts a run (step 56 of trials 150-299)
+SORT_STEP_CASES = {
+    "affine": (PROFILES["affine"], 8, 9, 0, 20),
+    "constant": (PROFILES["constant"], 8, 9, 0, 20),
+    "noiseless": (PROFILES["noiseless"], 20, 9, 0, 20),
+    "collapsed": (PROFILES["affine"], 12, 2100715294329802315, 150, 150),
+}
+
+
+@pytest.mark.parametrize("case", SORT_STEP_CASES)
+def test_every_step_equals_scalar_runs(case, monkeypatch):
+    # after every update, each row holds the query size, flags, answer,
+    # crossover, run starts and values of the scalar _Runs, and pads up to
+    # the widest row hold start n + 1 and value 0
+    profile, L, seed, start, rows = SORT_STEP_CASES[case]
+    cfg = config(SORT, L, profile, 60, seed=seed)
+    n = cfg.n_bins
+    scalar = []  # per trial, per step
+    select, update = _Runs.select, _Runs.update
+
+    def record_select(state):
+        flags, size = select(state)
+        scalar[-1].append([size])
+        return flags, size
+
+    def record(state, flags, y, p):
+        update(state, flags, y, p)
+        scalar[-1][-1] += [list(flags), bool(y), p, state.los[:], state.his[:], state.vals[:]]
+
+    monkeypatch.setattr(_Runs, "select", record_select)
+    monkeypatch.setattr(_Runs, "update", record)
+    for i in range(start, start + rows):
+        scalar.append([])
+        sim._run(cfg, trial_rng(cfg.seed, i), False, None)
+
+    batched = []
+    batch_select, batch_update = _batch._RunBatch.select, _batch._RunBatch.update
+
+    def record_batch_select(batch):
+        k = batch.k.copy()
+        flags, size = batch_select(batch)
+        batched.append([not (batch.k > k).any(), size.copy()])
+        return flags, size
+
+    def record_batch(batch, flags, y, p):
+        k = batch.k.copy()
+        batch_update(batch, flags, y, p)
+        batched[-1] += [k, flags.copy(), y.copy(), p.copy(), batch.los.copy(), batch.vals.copy(),
+                        batch.k.copy(), batch.w]
+
+    monkeypatch.setattr(_batch._RunBatch, "select", record_batch_select)
+    monkeypatch.setattr(_batch._RunBatch, "update", record_batch)
+    _batch.run_batch(cfg, None, start, start + rows)
+    assert len(batched) == 60
+    ties = no_cut = 0
+    for t, (uncut, size, k0, flags, y, p, los, vals, k, w) in enumerate(batched):
+        assert w == k.max()
+        no_cut += uncut
+        for i in range(rows):
+            j = k[i]
+            his = (los[i, 1 : j + 1] - 1).tolist()
+            got = [size[i], flags[i, : k0[i]].tolist(), bool(y[i]), p[i], los[i, :j].tolist(),
+                   his, vals[i, :j].tolist()]
+            assert got == scalar[i][t], (t, i)
+            assert (los[i, j : w + 1] == n + 1).all(), (t, i)
+            assert (vals[i, j:w] == 0.0).all(), (t, i)
+            ties += len(set(got[-1])) < j  # runs of equal value are never neighbours
+    if case == "constant":
+        assert ties > 0
+    if case == "collapsed":
+        assert no_cut > 0
+
+
+def test_run_checks_fire(monkeypatch):
+    # a row whose total mass is zero, or below 1/2, and a run count above t + 1
+    batch = _batch._RunBatch(2, 8, 4)
+    with pytest.raises(ZeroLikelihoodError):
+        batch.update(np.ones((2, batch.cols), dtype=bool), np.zeros(2, dtype=bool), np.zeros(2))
+    batch.vals[1, 0] = 0.01
+    with pytest.raises(ContractViolationError, match="posterior mass below 1/2"):
+        batch.select()
+    update = _batch._RunBatch.update
+
+    def update_and_grow(self, *args):
+        update(self, *args)
+        self.k = self.k + 1  # one phantom run in every row
+
+    monkeypatch.setattr(_batch._RunBatch, "update", update_and_grow)
+    cfg = config(SORT, 10, PROFILES["affine"], 40)
+    with pytest.raises(ContractViolationError, match="3 intervals after 1 queries, exceeding 2"):
+        _batch.run_batch(cfg, None, 0, 5)
+
+
 @pytest.mark.parametrize("kind", CONNECTED, ids=lambda k: k.value)
 def test_reads_equal_partition_reads(kind, monkeypatch):
     # prefix and first_reaching of a batch after 8 steps, against a
@@ -148,15 +255,16 @@ def test_reads_equal_partition_reads(kind, monkeypatch):
             assert got[i] == strategies._best_prefix_end(part, start[i], base[i]), (c, i)
 
 
-@pytest.mark.parametrize("kind", CONNECTED, ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_batches_of_37_and_150_rows(kind):
     assert_rows_match(config(kind, 12, PROFILES["affine"], 60), 100, (37, 150), horizon=True)
 
 
-@pytest.mark.parametrize("kind", CONNECTED, ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_counts_equal_scalar_counts(kind, monkeypatch):
-    # 137 trials at n = 200 (at most 81 rows a batch) run as batches of 68 and 69
-    cfg = config(kind, 10, PROFILES["affine"], 200)
+    # 137 trials at rows of 603 cells (at most 108 rows a batch) run as
+    # batches of 68 and 69
+    cfg = config(kind, 10, PROFILES["affine"], horizon(kind, 603))
     cps = (5, 50, 120, 200)
     assert sim._lockstep_batches(cfg, 137) == 2
     batched = sim._count_trials(cfg, cps, 3, 140)
@@ -166,23 +274,26 @@ def test_counts_equal_scalar_counts(kind, monkeypatch):
 
 
 def test_dispatch():
+    # at 2**16 cells a batch: up to 108 rows of 603 cells, 64 rows of 1023
     affine = PROFILES["affine"]
     batches = sim._lockstep_batches
-    for kind in CONNECTED:
+    for kind in ALL_KINDS:
+        def n(width):
+            return horizon(kind, width)
+
         assert batches(config(kind, 12, affine, 10), 64) == 1
         assert batches(config(kind, 53, affine, 10), 150) == 1
         assert batches(config(kind, 12, affine, 1), 1025) == 2  # at most 1024 rows
-        assert batches(config(kind, 12, affine, 200), 162) == 2  # at most 81 rows
-        assert batches(config(kind, 12, affine, 254), 64) == 1  # 64 rows of 511 cells fit
+        assert batches(config(kind, 12, affine, n(603)), 216) == 2  # at most 108 rows
+        assert batches(config(kind, 12, affine, n(1023)), 64) == 1  # 64 rows fit
         # below the crossover: a small run, or a split into batches below it
         assert batches(config(kind, 12, affine, 10), 63) == 0
-        assert batches(config(kind, 12, affine, 200), 127) == 0
-        assert batches(config(kind, 12, affine, 255), 1000) == 0
+        assert batches(config(kind, 12, affine, n(603)), 109) == 0  # two of 54 and 55
+        assert batches(config(kind, 12, affine, n(1025)), 1000) == 0  # 63 rows fit
         assert batches(config(kind, 54, affine, 10), 150) == 0
         assert batches(config(kind, 0, affine, 10), 150) == 0
         assert batches(SearchConfig(L=12, strategy=kind, profile=affine,
                                     stopping=VariableLength(1e-3), seed=1), 150) == 0
-    assert batches(config(StrategyKind.SORT_PM, 12, affine, 10), 150) == 0
 
 
 def test_small_runs_take_the_scalar_engine(monkeypatch):
@@ -190,7 +301,7 @@ def test_small_runs_take_the_scalar_engine(monkeypatch):
         raise AssertionError("a small run reached the batch engine")
 
     monkeypatch.setattr(_batch, "run_batch", refuse)
-    for kind in CONNECTED:
+    for kind in ALL_KINDS:
         cfg = config(kind, 12, PROFILES["affine"], 60)
         sim.run_monte_carlo(cfg, 1)
         sim.sweep_error_vs_queries(cfg, [10, 60], 63)
@@ -209,7 +320,7 @@ def test_uniform_block_equals_scalar_draws(seed):
 def test_clamped_crossovers():
     # p(x) below the floor (0.05 < 0.1) and above the ceiling (1.5 x near 1/2)
     for profile in (ConstantNoise(0.05, p_floor=0.1), AffineNoise(0.0, 1.5)):
-        for kind in CONNECTED:
+        for kind in ALL_KINDS:
             assert_rows_match(config(kind, 12, profile, 20), 0, (37,))
 
 
@@ -230,11 +341,11 @@ def test_interval_count_check_fires(monkeypatch):
 
 
 @pytest.mark.parametrize("n", (1, 60))
-@pytest.mark.parametrize("kind", CONNECTED, ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_batch_memory_within_cell_budget(kind, n):
     # the largest batch _count_trials builds, the most rows (n = 1) or the
     # most cells per row, peaks below ten arrays of _BATCH_CELLS float64 cells
-    rows = min(sim._BATCH_MAX_ROWS, sim._BATCH_CELLS // (2 * n + 3))
+    rows = min(sim._BATCH_MAX_ROWS, sim._BATCH_CELLS // row_width(kind, n))
     cfg = config(kind, 20, PROFILES["affine"], n)
     tracemalloc.start()
     try:

@@ -1,9 +1,14 @@
 """Episode engine, Monte Carlo harness, and reproducibility."""
 
+import concurrent.futures
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,27 +136,9 @@ class TestDeterminism:
         r2 = sweep_error_vs_queries(cfg, [5, 10, 20], 50, workers=2)
         assert r1 == r2
 
-    def test_pool_never_exceeds_cpu_count(self, monkeypatch):
-        """An inline stand-in for the pool records its size and starts no
-        process; the capped runs still match the single-process ones."""
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+    def test_pool_never_exceeds_cpu_count(self, inline_pool, monkeypatch):
+        """The capped runs still match the single-process ones."""
+        sizes = inline_pool
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
         cfg = config(strategy=StrategyKind.DYA_PM, L=6, seed=12)
         assert run_monte_carlo(cfg, 40, workers=10_000) == run_monte_carlo(cfg, 40)
@@ -160,6 +147,77 @@ class TestDeterminism:
             sweep_error_vs_queries(fl, [5, 20], 40)
         )
         assert sizes == [3, 3]
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replaces the process pool by an inline stand-in that starts no
+    process, and returns the list of the pool sizes asked for."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    # sim imports the pool class from here when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+class TestProcessPolicy:
+    """A batched run starts at most one process per lockstep batch, and a
+    run that starts no pool does not import one."""
+
+    def test_import_leaves_out_the_pool(self):
+        code = ("import sys, noisysearch, noisysearch.cli; "
+                "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+        src = str(Path(sim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_batch_runs_in_the_calling_process(self, kind, inline_pool, monkeypatch):
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        cfg = config(L=8, strategy=kind, stopping=FixedLength(20), seed=3)
+        assert sim._lockstep_batches(cfg, 100) == 1
+        assert run_monte_carlo(cfg, 100, workers=2) == run_monte_carlo(cfg, 100)
+        assert sweep_error_vs_queries(cfg, [5, 20], 100, workers=2) == (
+            sweep_error_vs_queries(cfg, [5, 20], 100)
+        )
+        assert inline_pool == []
+
+    def test_one_process_per_batch(self, inline_pool, monkeypatch):
+        # 216 trials at n = 300 make two batches of 108 rows, so a pool of
+        # two; chunks on batch edges keep every batch at 108 rows
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
+        rows = []
+        run_batch = _batch.run_batch
+
+        def counted(config, checkpoints, start, stop):
+            rows.append(stop - start)
+            return run_batch(config, checkpoints, start, stop)
+
+        monkeypatch.setattr(_batch, "run_batch", counted)
+        cfg = config(L=12, strategy=StrategyKind.MEDIAN_PM, stopping=FixedLength(300), seed=3)
+        assert sim._lockstep_batches(cfg, 216) == 2
+        assert sweep_error_vs_queries(cfg, [10, 300], 216, workers=8) == (
+            sweep_error_vs_queries(cfg, [10, 300], 216)
+        )
+        assert inline_pool == [2]
+        assert rows == [108, 108] * 2
 
 
 class TestEngineMatchesPublicApi:
@@ -253,17 +311,18 @@ class TestGatedPeakScan:
         sweep_error_vs_queries(cfg, self.SWEEP, 5)
         assert len(peak_calls) == 5 * len(self.SWEEP)
 
-    @pytest.mark.parametrize("kind", CONNECTED)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_batch_sweep_scans_once_per_checkpoint(self, kind, monkeypatch):
         rows = []
-        peak = _batch._Batch.peak
+        batch_class = _batch._RunBatch if kind is StrategyKind.SORT_PM else _batch._Batch
+        peak = batch_class.peak
 
         def counted(batch):
             out = peak(batch)
             rows.append(out.size)
             return out
 
-        monkeypatch.setattr(_batch._Batch, "peak", counted)
+        monkeypatch.setattr(batch_class, "peak", counted)
         cfg = config(L=12, strategy=kind, stopping=FixedLength(self.SWEEP[-1]), seed=47)
         sweep_error_vs_queries(cfg, self.SWEEP, 64)
         assert rows == [64] * len(self.SWEEP)
