@@ -168,8 +168,8 @@ class _RunBatch:
     and value 0.
 
     Run ``u`` ends at ``los[r, u + 1] - 1``, so a pad has width 0 and adds
-    0.0 to every in-order sum, and it sorts after every run, since it is
-    last among the smallest values.  ``w`` is the widest row's run count;
+    0.0 to every in-order sum; with the smallest value, and after every
+    run, it also comes last in the stable order of decreasing value.  ``w`` is the widest row's run count;
     only the first ``w`` (``w + 1`` for ``los``) columns are read.  The
     arrays, and the flags :meth:`select` returns, share their shape, so one
     flat index, ``row0 + u``, reads column ``u`` of each.

@@ -287,8 +287,8 @@ def episode_final_posterior(config: SearchConfig, trial_index: int = 0) -> Poste
 
 # The lockstep engine (:mod:`._batch`) beats the scalar one only from some
 # tens of rows per batch: at L = 8..20 and n = 12..300 it breaks even near
-# 24 rows for median, 16-32 for sort and 48-64 for dya and hie, and at one
-# row it is 7-30x slower.  Each of a batch's (rows, width) arrays, of width
+# 24 rows for median, 16-24 for sort and 48-64 for dya and hie, and at one
+# row it is 10-30x slower.  Each of a batch's (rows, width) arrays, of width
 # 2n + 3 for the connected rules and n + 2 for sort, holds at most
 # _BATCH_CELLS cells (512 KiB), and a batch at most _BATCH_MAX_ROWS rows:
 # past a few hundred rows numpy's per-call cost is spread thin, while the

@@ -5,6 +5,7 @@ estimates of :func:`sim._run` on the same trial stream, whatever the batch
 size and whichever rows share the batch.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -211,6 +212,40 @@ def test_run_checks_fire(monkeypatch):
     cfg = config(SORT, 10, PROFILES["affine"], 40)
     with pytest.raises(ContractViolationError, match="3 intervals after 1 queries, exceeding 2"):
         _batch.run_batch(cfg, None, 0, 5)
+
+
+def test_crossing_count_adjustments():
+    # runs [1, 1] of value a and [2, w + 1] of value v, then a tail of value
+    # 1e-9: the crossing run is the second, with a taken before it, and
+    # ceil((1/2 - a) / v) is one bin short (the first three) or one over
+    # (the last three) by rounding, so select's adjustment loops run; no
+    # other test reaches them
+    cases = (
+        (0.15276868167339558, 0.0022116644479401554, 167),
+        (0.19915426688826063, 0.0010939844840426884, 285),
+        (0.10085731821737098, 0.0011307158124153796, 363),
+        (0.342526625099872, 0.0002404173662597374, 1396),
+        (0.48892480164938146, 1.2402237794645602e-05, 1370),
+        (0.3725457953713144, 0.00013332029772875062, 1346),
+    )
+    n = 2048
+    batch = _batch._RunBatch(len(cases), n, 4)
+    for row, (a, v, w) in enumerate(cases):
+        guess = math.ceil((0.5 - a) / v)
+        assert (a + guess * v < 0.5) if row < 3 else (a + (guess - 1) * v >= 0.5)
+        batch.los[row, :4] = (1, 2, w + 2, n + 1)
+        batch.vals[row, :3] = (a, v, 1e-9)
+    batch.k[:] = 3
+    batch.w = 3
+    flags, size = batch.select()
+    for row, (a, v, w) in enumerate(cases):
+        runs = _Runs([1, 2, w + 2], [1, w + 1, n], [a, v, 1e-9])
+        want_flags, want_size = runs.select()
+        k = batch.k[row]
+        assert size[row] == want_size, row
+        assert flags[row, :k].tolist() == want_flags, row
+        assert batch.los[row, :k].tolist() == runs.los, row
+        assert batch.vals[row, :k].tolist() == runs.vals, row
 
 
 @pytest.mark.parametrize("kind", CONNECTED, ids=lambda k: k.value)

@@ -138,7 +138,6 @@ class TestDeterminism:
 
     def test_pool_never_exceeds_cpu_count(self, inline_pool, monkeypatch):
         """The capped runs still match the single-process ones."""
-        sizes = inline_pool
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
         cfg = config(strategy=StrategyKind.DYA_PM, L=6, seed=12)
         assert run_monte_carlo(cfg, 40, workers=10_000) == run_monte_carlo(cfg, 40)
@@ -146,7 +145,7 @@ class TestDeterminism:
         assert sweep_error_vs_queries(fl, [5, 20], 40, workers=10_000) == (
             sweep_error_vs_queries(fl, [5, 20], 40)
         )
-        assert sizes == [3, 3]
+        assert inline_pool == [3, 3]
 
 
 @pytest.fixture
