@@ -51,6 +51,17 @@ CLI_CASES = {
     "dump-partition-hie": (["simulate", "--strategy", "hie", "--L", "8", *AFFINE,
                             "--vl", "0.001", "--trials", "5", "--seed", "11"],
                            "--dump-partition"),
+    # episodes that span several of the engine's 64-uniform blocks (tau
+    # 75-538 and 173-830); constant noise makes exact ties between sort runs
+    "simulate-median-vl-long": (["simulate", "--strategy", "median", "--L", "12", *AFFINE,
+                                 "--vl", "1e-6", "--trials", "8", "--seed", "5"], None),
+    "simulate-sort-vl-constant-long-w2": (["simulate", "--strategy", "sort", "--L", "10",
+                                           "--noise", "constant:0.4", "--vl", "1e-3",
+                                           "--trials", "8", "--seed", "5", "--workers", "2"],
+                                          None),
+    "dump-partition-median-long": (["simulate", "--strategy", "median", "--L", "12", *AFFINE,
+                                    "--vl", "1e-6", "--trials", "1", "--seed", "5"],
+                                   "--dump-partition"),
     "bounds": (["bounds", "--L", "12", *AFFINE, "--vl", "0.001"], None),
     "frontier": (["frontier", *AFFINE], None),
 }
@@ -66,6 +77,9 @@ GOLDEN_CLI = {
     "sweep-sort-w2": "78e950bba844685f1adf5565189816181b06503e0ab0e4699252c62b8730e5de",
     "simulate-hie-fl-w2": "fd8f261360fd5eab7f172ae921d40333e561181d466e17045da3bb403715ea75",
     "dump-partition-hie": "30b0fb592ef9c2fa228c836605eea615a113b889f92fee71a2449aab7fb21b93",
+    "simulate-median-vl-long": "ffa80e7bf1050b77bcfb91abb82e680e5634aad4b2f0068e18a14b0b7c21cd23",
+    "simulate-sort-vl-constant-long-w2": "ddaf6052c2319cf9755d6317b79969c68e4d0ee6115c672c6411d5805ba9061d",
+    "dump-partition-median-long": "47da215c15dd449ce1eea83519c1683fdba7636ec51c92832a412a113a63c6d0",
     "bounds": "9df85a159c1346d4fa169a6d71d3705d9459088faff60fecd10be5f5327e489e",
     "frontier": "29794db2469586fcea4584234f88f181a4ea6fb2b59da704938dcba94b265532",
 }
