@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import _noise_for_sizes
 from .errors import ContractViolationError, ZeroLikelihoodError
-from .sim import SearchConfig, trial_rng
+from .sim import SearchConfig, _TrialStreams
 from .strategies import _HEAVY_MARGIN, StrategyKind
 
 
@@ -430,8 +430,9 @@ def run_batch(
     rows = stop - start
     truth = np.full(rows, config.target or 0, dtype=np.int64)
     uniforms = np.empty((rows, steps))
+    streams = _TrialStreams(config.seed)
     for row in range(rows):
-        rng = trial_rng(config.seed, start + row)
+        rng = streams(start + row)
         if config.target is None:
             truth[row] = rng.integers(1, n + 1)
         uniforms[row] = rng.random(steps)

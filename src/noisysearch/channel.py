@@ -145,12 +145,7 @@ def sample_observation(
 
     Consumes exactly one uniform draw from ``rng``.
     """
-    return _observe(noise_for_size(profile, size_fraction), target_in_set, rng)
-
-
-def _observe(p: float, target_in_set: bool, rng: np.random.Generator) -> int:
-    """:func:`sample_observation` at a crossover ``p`` already evaluated, for
-    a caller that also needs ``p`` (the Bayes update); one uniform draw."""
+    p = noise_for_size(profile, size_fraction)
     return int(target_in_set) ^ int(rng.random() < p)
 
 

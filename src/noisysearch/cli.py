@@ -22,12 +22,13 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TextIO
 
-from .channel import AffineNoise, ConstantNoise, NoiseProfile
+from .channel import AffineNoise, ConstantNoise, NoiseProfile, binary_entropy, eval_noise
 from .errors import NoisySearchError
 from .sim import (
     STEP_CAP,
@@ -368,6 +369,18 @@ def _plan(m: RunManifest) -> Callable[[TextIO, Optional[TextIO]], None]:
         config = search(stopping=FixedLength(m.fl) if kind == "fl" else VariableLength(m.vl))
     except ValueError as exc:
         raise ValueError(f"--{kind}: {exc}") from None
+    if kind == "vl":
+        # Fano's converse: no answer carries more than 1 - h(p(0)) bits, so no
+        # search to this eps averages fewer queries than this; past the step
+        # cap every trial would spin to it
+        info = 1.0 - binary_entropy(eval_noise(profile, 0.0))
+        need = (1.0 - m.vl) * m.L - binary_entropy(m.vl)
+        converse = need / info if info > 0.0 else math.inf
+        if converse > STEP_CAP:
+            raise ValueError(
+                f"noise {m.noise!r} needs at least {converse:.3g} queries per search "
+                f"to --vl {m.vl!r} at --L {m.L}, above the {STEP_CAP}-step cap"
+            )
     if m.dump_partition is not None:
         if m.strategy == "sort":
             raise ValueError("--dump-partition needs a connected-geometry strategy")

@@ -32,6 +32,7 @@ Bins are indexed 1..n throughout the public API; intervals are inclusive
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -513,7 +514,8 @@ class _Runs:
         """Bayes step for the query made of the runs flagged in ``flags``.
 
         The normalizer sums value times width over the runs in index order;
-        neighbours whose values become equal are merged.
+        neighbours whose values become equal are merged.  Most steps merge
+        none, and keep the run bounds as they are.
         """
         in_lik, out_lik = _likelihoods(y, p)
         new = [v * (in_lik if f else out_lik) for v, f in zip(self.vals, flags)]
@@ -522,9 +524,12 @@ class _Runs:
             total += v * (hi - lo + 1)
         if total <= 0.0:
             raise ZeroLikelihoodError("all posterior mass has zero likelihood")
+        new = [v / total for v in new]
+        if not any(map(operator.eq, new, new[1:])):
+            self.vals = new
+            return
         los, his, vals = [], [], []
         for lo, hi, v in zip(self.los, self.his, new):
-            v /= total
             if vals and vals[-1] == v:
                 his[-1] = hi
             else:

@@ -8,7 +8,10 @@ The declared estimate is the posterior argmax.
 Reproducibility: trial ``i`` of a run seeded with ``s`` draws from a Philox
 counter-based generator keyed by ``s`` with its counter advanced to block
 ``i``, so streams never overlap, results do not depend on the worker count,
-and any single trial can be replayed in isolation.
+and any single trial can be replayed in isolation.  A Monte Carlo run
+draws a trial's channel uniforms in blocks of ``_UNIFORM_BLOCK``, which
+hold the values of single draws, so a trial gives the same episode as
+:func:`run_episode` on ``trial_rng(s, i)``.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import NoiseProfile, _observe, noise_for_size
+from .channel import NoiseProfile, noise_for_size
 from .errors import CapExceededError, ContractViolationError
 from .posterior import Posterior, _Partition, _Runs
 from .strategies import _ROOT, StrategyKind, _run_for
@@ -42,6 +45,9 @@ __all__ = [
 ]
 
 STEP_CAP = 10**6
+# uniforms per draw of a Monte Carlo trial's channel noise: one numpy call
+# per block instead of one per query
+_UNIFORM_BLOCK = 64
 _WILSON_Z95 = 1.959963984540054
 
 
@@ -147,14 +153,54 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     )
 
 
+class _TrialStreams:
+    """:func:`trial_rng` streams of one seed on one kept Philox, whose state
+    costs far less to set than a new one costs to build.
+
+    ``streams(i)`` sets the generator to the state ``trial_rng(seed, i)``
+    starts in (the key, counter words ``[0, 0, i mod 2**64, i >> 64]``, an
+    empty buffer and no spare 32-bit half) and returns it, so a stream is
+    valid only until the next call.
+    """
+
+    __slots__ = ("_philox", "_state", "_counter", "_rng")
+
+    def __init__(self, seed: int):
+        self._philox = np.random.Philox(key=seed % (1 << 64))
+        self._state = self._philox.state  # a fresh Philox: counter 0, buffer empty
+        self._counter = self._state["state"]["counter"]
+        self._rng = np.random.Generator(self._philox)
+
+    def __call__(self, trial_index: int) -> np.random.Generator:
+        self._counter[2] = trial_index & ((1 << 64) - 1)
+        self._counter[3] = trial_index >> 64
+        self._philox.state = self._state
+        return self._rng
+
+
+def _uniform_blocks(rng: np.random.Generator) -> Iterator[float]:
+    """``rng``'s uniforms, drawn ``_UNIFORM_BLOCK`` at a time as they are
+    used: the values of single ``rng.random()`` calls, in order.  The first
+    block is drawn at the first ``next``, so draws made before it (the
+    target) come first, as with single draws."""
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
+
+
 def _run(
     config: SearchConfig,
     rng: np.random.Generator,
     trace: bool,
     checkpoints: Optional[tuple[int, ...]],
+    uniforms: Optional[Iterator[float]] = None,
 ) -> tuple[EpisodeRecord, Union[_Partition, _Runs]]:
     """One episode; returns its record and the final kernel state (frozen
     only on request, so sortPM never holds the ``n``-entry vector).
+
+    ``rng`` gives the target (unless the config fixes it) and ``uniforms``
+    the channel's noise, one uniform per query; by default they are single
+    ``rng.random()`` draws.  A caller that owns ``rng`` passes
+    :func:`_uniform_blocks` of it, which gives the same values.
 
     Each step evaluates the channel once, for both the observation and the
     update, and each connected-rule step starts its heavy-node descent from
@@ -192,6 +238,7 @@ def _run(
     threshold = math.inf if fl_n is not None else 1.0 - config.stopping.epsilon
     cps = checkpoints or ()
 
+    next_uniform = (iter(rng.random, None) if uniforms is None else uniforms).__next__
     depth = config.L
     node = _ROOT  # the last heavy node, where the next descent starts
     sizes: list[float] = []
@@ -212,7 +259,7 @@ def _run(
             query = (s1, s2)
         frac = size / n
         p = noise_for_size(profile, frac)
-        state.update(*query, _observe(p, member, rng), p)
+        state.update(*query, member ^ (next_uniform() < p), p)
         k = len(state)
         if k > cuts_per_step * tau + 1:
             raise ContractViolationError(
@@ -281,7 +328,8 @@ def episode_final_posterior(config: SearchConfig, trial_index: int = 0) -> Poste
     """Replay one trial and return its final posterior (debugging aid).
 
     sortPM's posterior is the dense vector, built here from its runs."""
-    _, state = _run(config, trial_rng(config.seed, trial_index), False, None)
+    rng = trial_rng(config.seed, trial_index)
+    _, state = _run(config, rng, False, None, _uniform_blocks(rng))
     return state.freeze()
 
 
@@ -319,7 +367,13 @@ def _count_trials(
     config: SearchConfig, checkpoints: Optional[tuple[int, ...]], start: int, stop: int
 ) -> tuple[np.ndarray, int]:
     """Counts over trials ``start..stop-1``: errors at each checkpoint (or of
-    the final estimate, without checkpoints) and the sum of stopping times."""
+    the final estimate, without checkpoints) and the sum of stopping times.
+
+    A batched run goes to :func:`._batch.run_batch`.  Otherwise each trial
+    is a scalar :func:`_run` on its ``trial_rng`` stream, set on one kept
+    Philox (:class:`_TrialStreams`), with its uniforms drawn in blocks
+    (:func:`_uniform_blocks`); the counts are those of :func:`run_episode`
+    on the same streams."""
     errors = np.zeros(len(checkpoints) if checkpoints else 1, dtype=np.int64)
     batches = _lockstep_batches(config, stop - start)
     if batches:
@@ -331,8 +385,10 @@ def _count_trials(
             errors += np.count_nonzero(estimates != truth[:, None], axis=0)
         return errors, (stop - start) * config.stopping.n
     tau_sum = 0
+    streams = _TrialStreams(config.seed)
     for i in range(start, stop):
-        rec, _ = _run(config, trial_rng(config.seed, i), False, checkpoints)
+        rng = streams(i)
+        rec, _ = _run(config, rng, False, checkpoints, _uniform_blocks(rng))
         estimates = rec.checkpoint_estimates if checkpoints else (rec.estimate,)
         for k, est in enumerate(estimates):
             errors[k] += est != rec.truth
@@ -347,16 +403,18 @@ def _map_trials(
     and at most ``os.cpu_count()`` processes; the integer counts do not
     depend on the chunking.  A batched run starts one process per lockstep
     batch at most, each with a whole number of batches, since a batch's
-    time grows little with its rows: a run of one batch stays in the
-    calling process.  Any other run is cut into four chunks per process."""
+    time grows little with its rows.  Any other run is cut into four chunks
+    per process, or one chunk per trial when it has fewer, and starts one
+    process per chunk at most.  A run of one batch or one chunk stays in
+    the calling process."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
     batches = _lockstep_batches(config, trials)
-    if batches:
-        workers = min(workers, batches)
+    chunks = batches or min(workers * 4, trials)
+    workers = min(workers, chunks)
     if workers <= 1:
         return _count_trials(config, checkpoints, 0, trials)
     if batches:
@@ -366,7 +424,7 @@ def _map_trials(
         starts = np.linspace(0, trials, batches + 1, dtype=int)
         edges = starts[np.linspace(0, batches, workers + 1, dtype=int)].tolist()
     else:
-        edges = np.linspace(0, trials, min(workers * 4, trials) + 1, dtype=int).tolist()
+        edges = np.linspace(0, trials, chunks + 1, dtype=int).tolist()
     from concurrent.futures import ProcessPoolExecutor  # only runs that start a pool pay for it
 
     errors = 0

@@ -100,6 +100,10 @@ class TestParsing:
              "--out", "x.csv"],  # 1 / (2**-L * eps) overflows to inf
             ["simulate", "--strategy", "dya", "--L", "6", "--noise", "affine:0.1:0.5",
              "--vl", "0.01", "--out", "x.csv", "--dump-partition", "./x.csv"],  # one file
+            ["simulate", "--strategy", "hie", "--L", "8", "--noise", "constant:0.499",
+             "--vl", "0.1", "--trials", "1", "--out", "x.csv"],  # converse 2.3e6 steps
+            ["simulate", "--strategy", "hie", "--L", "8", "--noise", "affine:0.4999:0.0001",
+             "--vl", "0.1", "--trials", "1", "--out", "x.csv"],  # converse 2.3e8 steps
         ],
     )
     def test_usage_errors_exit_nonzero(self, argv, tmp_path, monkeypatch):
@@ -213,6 +217,15 @@ class TestExecution:
         row = read_csv(out)[0]
         assert float(row["mean_tau"]) == 10.0
         assert "mean_tau=10" in capsys.readouterr().out
+
+    def test_noise_near_half_below_the_step_cap_runs(self, tmp_path):
+        # the converse bound is about 930 queries here; the trial takes 306
+        out = tmp_path / "near-half.csv"
+        code = main(["simulate", "--strategy", "hie", "--L", "8",
+                     "--noise", "constant:0.45", "--vl", "0.1",
+                     "--trials", "1", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        assert float(read_csv(out)[0]["mean_tau"]) > 100
 
     def test_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -346,6 +359,8 @@ class TestExecution:
             pytest.param(True, {"L": "12"}, id="from-json-string-L"),
             pytest.param(False, {"subcommand": "bounds", "L": 30, "vl": 5e-324,
                                  "alpha": 0.015625}, id="bounds-vl-underflow"),
+            pytest.param(False, {"noise": "constant:0.499", "L": 8, "vl": 0.1},
+                         id="converse-over-step-cap"),
         ],
     )
     def test_bad_manifest_is_a_usage_error(self, via_json, fields, tmp_path, monkeypatch, capsys):

@@ -124,6 +124,42 @@ class TestDeterminism:
         b = trial_rng(9, 1).random(8)
         assert not np.allclose(a, b)
 
+    def test_kept_stream_equals_trial_rng(self):
+        # each trial but the first starts after one that left a spare 32-bit
+        # half and a part-used buffer
+        seed = (1 << 64) + 12345
+        streams = sim._TrialStreams(seed)
+        for i in (0, 1, 7, (1 << 64) + 3):
+            kept, ref = streams(i), trial_rng(seed, i)
+            assert repr(kept.bit_generator.state) == repr(ref.bit_generator.state), i
+            assert kept.integers(1, 4097) == ref.integers(1, 4097)
+            assert kept.random(5).tolist() == ref.random(5).tolist()
+            assert kept.bit_generator.state["has_uint32"] == 1
+            assert 0 < kept.bit_generator.state["buffer_pos"] < 4
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_block_draws_give_run_episode_counts(self, kind, monkeypatch):
+        # 3-uniform blocks: every episode refills its block many times
+        monkeypatch.setattr(sim, "_UNIFORM_BLOCK", 3)
+        for stopping, cps in ((VariableLength(0.2), None), (FixedLength(30), (4, 11, 30))):
+            cfg = config(L=8, strategy=kind, stopping=stopping, seed=17)
+            records = [
+                run_episode(cfg, trial_rng(cfg.seed, i), checkpoint_steps=cps)
+                for i in range(5, 45)
+            ]
+            estimates = [r.checkpoint_estimates if cps else (r.estimate,) for r in records]
+            errors = np.sum([[e != r.truth for e in est] for r, est in zip(records, estimates)], 0)
+            assert errors.any()
+            assert sim._lockstep_batches(cfg, 40) == 0
+            counts, tau_sum = sim._count_trials(cfg, cps, 5, 45)
+            assert counts.tolist() == errors.tolist()
+            assert tau_sum == sum(r.tau for r in records)
+            for i in (5, 6):
+                _, state = sim._run(cfg, trial_rng(cfg.seed, i), False, None)
+                assert episode_final_posterior(cfg, i).mass.tolist() == (
+                    state.freeze().mass.tolist()
+                )
+
     def test_monte_carlo_worker_invariance(self):
         cfg = config(strategy=StrategyKind.DYA_PM, L=7, seed=12)
         s1 = run_monte_carlo(cfg, 60, workers=1)
@@ -175,7 +211,7 @@ def inline_pool(monkeypatch):
 
 
 class TestProcessPolicy:
-    """A batched run starts at most one process per lockstep batch, and a
+    """A run starts at most one process per lockstep batch or chunk, and a
     run that starts no pool does not import one."""
 
     def test_import_leaves_out_the_pool(self):
@@ -197,6 +233,15 @@ class TestProcessPolicy:
             sweep_error_vs_queries(cfg, [5, 20], 100)
         )
         assert inline_pool == []
+
+    def test_no_more_processes_than_chunks(self, inline_pool, monkeypatch):
+        # scalar runs: one trial is one chunk, three trials three chunks
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
+        cfg = config(strategy=StrategyKind.DYA_PM, L=6, seed=12)
+        assert run_monte_carlo(cfg, 1, workers=2) == run_monte_carlo(cfg, 1)
+        assert inline_pool == []
+        assert run_monte_carlo(cfg, 3, workers=8) == run_monte_carlo(cfg, 3)
+        assert inline_pool == [3]
 
     def test_one_process_per_batch(self, inline_pool, monkeypatch):
         # 216 trials at n = 300 make two batches of 108 rows, so a pool of

@@ -210,6 +210,50 @@ class TestSortPMKernel:
             assert len(runs) <= t + 1
 
 
+    def test_update_equals_the_rebuilding_loop(self):
+        # the update that keeps its run bounds when no neighbours merge gives
+        # the runs of the loop that rebuilds them on every step; constant
+        # noise makes exact ties, so the merge path runs too
+        paths = {"kept": 0, "merged": 0}
+        for profile in (AFFINE, ConstantNoise(0.2)):
+            for seed in range(3):
+                rng = trial_rng(seed, 0)
+                n = 1 << 10
+                truth = int(rng.integers(1, n + 1))
+                runs = _Runs.uniform(n)
+                for _ in range(60):
+                    flags, size = runs.select()
+                    member = flags[bisect_right(runs.los, truth) - 1]
+                    p = noise_for_size(profile, size / n)
+                    y = sample_observation(profile, member, size / n, rng)
+                    expected = rebuilt_update(runs, flags, y, p)
+                    k = len(runs)
+                    runs.update(flags, y, p)
+                    assert (runs.los, runs.his, runs.vals) == expected
+                    paths["merged" if len(runs) < k else "kept"] += 1
+        assert paths["kept"] and paths["merged"], paths
+
+
+def rebuilt_update(runs, flags, y, p):
+    """``_Runs.update``'s runs as the loop that rebuilds every run computes
+    them: ``(los, his, vals)``."""
+    in_lik, out_lik = (1.0 - p, p) if y else (p, 1.0 - p)
+    new = [v * (in_lik if f else out_lik) for v, f in zip(runs.vals, flags)]
+    total = 0.0
+    for v, lo, hi in zip(new, runs.los, runs.his):
+        total += v * (hi - lo + 1)
+    los, his, vals = [], [], []
+    for lo, hi, v in zip(runs.los, runs.his, new):
+        v /= total
+        if vals and vals[-1] == v:
+            his[-1] = hi
+        else:
+            los.append(lo)
+            his.append(hi)
+            vals.append(v)
+    return los, his, vals
+
+
 class TestHeaviestNode:
     def test_uniform_four(self):
         assert heaviest_node(PosteriorDense.uniform(4), 2) == TreeNode(1, 0)
