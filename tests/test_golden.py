@@ -62,6 +62,13 @@ CLI_CASES = {
     "dump-partition-median-long": (["simulate", "--strategy", "median", "--L", "12", *AFFINE,
                                     "--vl", "1e-6", "--trials", "1", "--seed", "5"],
                                    "--dump-partition"),
+    # a connected rule under constant noise, where the profile's slope is 0
+    "simulate-hie-vl-constant": (["simulate", "--strategy", "hie", "--L", "10",
+                                  "--noise", "constant:0.3", "--vl", "1e-3", *MC], None),
+    # p(x) = 0.5 x falls below p_floor on the smallest queries (30 of 779)
+    "simulate-dya-vl-floor": (["simulate", "--strategy", "dya", "--L", "30",
+                               "--noise", "affine:0:0.5", "--vl", "1e-3", "--trials", "20",
+                               "--seed", "3"], None),
     "bounds": (["bounds", "--L", "12", *AFFINE, "--vl", "0.001"], None),
     "frontier": (["frontier", *AFFINE], None),
 }
@@ -80,6 +87,8 @@ GOLDEN_CLI = {
     "simulate-median-vl-long": "ffa80e7bf1050b77bcfb91abb82e680e5634aad4b2f0068e18a14b0b7c21cd23",
     "simulate-sort-vl-constant-long-w2": "ddaf6052c2319cf9755d6317b79969c68e4d0ee6115c672c6411d5805ba9061d",
     "dump-partition-median-long": "47da215c15dd449ce1eea83519c1683fdba7636ec51c92832a412a113a63c6d0",
+    "simulate-hie-vl-constant": "28a5e9c64a93c38e6e365ec25645f469df180ee29b370f6e6d30dcc61e7337e2",
+    "simulate-dya-vl-floor": "d8e746c8ecd9c5fc41a8c5b9042971918dba032a3290bcb0565c23762f08b1c5",
     "bounds": "9df85a159c1346d4fa169a6d71d3705d9459088faff60fecd10be5f5327e489e",
     "frontier": "29794db2469586fcea4584234f88f181a4ea6fb2b59da704938dcba94b265532",
 }
