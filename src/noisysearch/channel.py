@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -109,11 +109,18 @@ def eval_noise(profile: NoiseProfile, size_fraction: float) -> float:
     return min(max(_raw_noise(profile, size_fraction), profile.p_floor), P_CEILING)
 
 
+def _coefficients(profile: NoiseProfile) -> tuple[float, float]:
+    """``(a, b)`` of the profile's unclamped value ``a + b*x``: constant
+    noise is ``a = p, b = 0``."""
+    if isinstance(profile, AffineNoise):
+        return profile.a, profile.b
+    return profile.p, 0.0
+
+
 def _raw_noise(profile: NoiseProfile, x):
     """The profile's value at ``x`` (a float or a float64 array), unclamped."""
-    if isinstance(profile, AffineNoise):
-        return profile.a + profile.b * x
-    return profile.p
+    a, b = _coefficients(profile)
+    return a + b * x
 
 
 def noise_for_size(profile: NoiseProfile, size_fraction: float) -> float:
@@ -124,6 +131,23 @@ def noise_for_size(profile: NoiseProfile, size_fraction: float) -> float:
     on [0, 1/2] and its maximum over all query sets is attained there.
     """
     return eval_noise(profile, min(size_fraction, 0.5))
+
+
+def _noise_function(profile: NoiseProfile) -> Callable[[float], float]:
+    """:func:`noise_for_size` of ``profile`` as a function of one query
+    fraction in (0, 1]: the same floats, with no range check and one call.
+    The episode engine builds it once per episode."""
+    a, b = _coefficients(profile)
+    floor, ceiling = profile.p_floor, P_CEILING
+
+    def noise(x: float) -> float:
+        # min(x, 1/2), max(., floor) and min(., ceiling), each keeping its
+        # first argument on a tie, as the builtins do
+        p = a + b * (0.5 if x > 0.5 else x)
+        p = floor if floor > p else p
+        return ceiling if ceiling < p else p
+
+    return noise
 
 
 def _noise_for_sizes(profile: NoiseProfile, fractions: np.ndarray) -> np.ndarray:

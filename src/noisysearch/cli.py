@@ -28,7 +28,14 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TextIO
 
-from .channel import AffineNoise, ConstantNoise, NoiseProfile, binary_entropy, eval_noise
+from .channel import (
+    AffineNoise,
+    ConstantNoise,
+    NoiseProfile,
+    _coefficients,
+    binary_entropy,
+    eval_noise,
+)
 from .errors import NoisySearchError
 from .sim import (
     STEP_CAP,
@@ -93,12 +100,18 @@ def parse_noise(spec: str) -> NoiseProfile:
 
 def parse_n_values(spec: str) -> list[int]:
     """``lo:hi:step`` (inclusive range), comma list, or a single integer, all in 1..STEP_CAP."""
-    if ":" in spec:
-        lo, hi, step = (int(x) for x in spec.split(":"))
+    sep = ":" if ":" in spec else ","
+    try:
+        values = [int(x) for x in spec.split(sep)]
+    except ValueError:
+        values = None
+    if values is None or (sep == ":" and len(values) != 3):
+        raise ValueError(f"bad --n spec {spec!r}; expected LO:HI:STEP, N,N,... or N (integers)")
+    if sep == ":":
+        lo, hi, step = values
         if step < 1 or not (1 <= lo <= hi <= STEP_CAP):
             raise ValueError(f"bad range {spec!r}: need STEP >= 1, 1 <= LO <= HI <= {STEP_CAP}")
         return list(range(lo, hi + 1, step))
-    values = [int(x) for x in spec.split(",")]
     if not all(1 <= v <= STEP_CAP for v in values):
         raise ValueError(f"budgets must be in 1..{STEP_CAP}, got {spec!r}")
     return values
@@ -251,16 +264,10 @@ _SIM_HEADER = (
 )
 
 
-def _noise_columns(profile: NoiseProfile) -> tuple[float, float]:
-    if isinstance(profile, AffineNoise):
-        return profile.a, profile.b
-    return profile.p, 0.0
-
-
 def _summary_row(
     manifest: RunManifest, profile: NoiseProfile, stopping: str, param, summary: MonteCarloSummary
 ) -> tuple:
-    a, b = _noise_columns(profile)
+    a, b = _coefficients(profile)
     return (
         manifest.strategy, manifest.L, a, b, stopping, param, summary.trials,
         summary.error_rate, summary.error_lo, summary.error_hi, summary.mean_tau,
@@ -300,7 +307,7 @@ def _plan(m: RunManifest) -> Callable[[TextIO, Optional[TextIO]], None]:
     require("noise")
     require("out")
     profile = parse_noise(m.noise)
-    a, b = _noise_columns(profile)
+    a, b = _coefficients(profile)
     if not (a + 0.5 * b < 0.5):
         raise ValueError(f"noise {m.noise!r} is uninformative: p(1/2) must be < 0.5")
 

@@ -276,12 +276,34 @@ def _likelihoods(y: int, p: float) -> tuple[float, float]:
 def bayes_update_dense(
     post: PosteriorDense, query: QuerySet, y: int, profile: NoiseProfile
 ) -> PosteriorDense:
-    """One Bayes step on the dense vector."""
+    """One Bayes step on the dense vector.
+
+    :meth:`_Runs.update`'s float operations in numpy, on the runs of equal
+    mass and membership: each run's value times its likelihood, the in-order
+    sum of value times width (``np.cumsum``'s last element), the divide.
+    Merging equal neighbours would not change the expanded vector, so none
+    is done.
+    """
     n = post.n_bins
     p = noise_for_size(profile, query.size_fraction(n))
-    runs, flags = _Runs.of(post.mass, query.member_mask(n))
-    runs.update(flags, y, p)
-    return PosteriorDense._wrap(runs.expand())
+    in_lik, out_lik = _likelihoods(y, p)
+    member = query.member_mask(n)
+    heads = _run_heads(post.mass, member)
+    widths = np.append(heads[1:], n) - heads
+    new = post.mass[heads] * np.where(member[heads], in_lik, out_lik)
+    total = np.cumsum(new * widths)[-1]
+    if total <= 0.0:
+        raise ZeroLikelihoodError("all posterior mass has zero likelihood")
+    return PosteriorDense._wrap(np.repeat(new / total, widths))
+
+
+def _run_heads(mass: np.ndarray, member: Optional[np.ndarray] = None) -> np.ndarray:
+    """0-based start of each maximal run of equal ``mass`` and, with a
+    boolean ``member`` vector, equal membership."""
+    change = mass[1:] != mass[:-1]
+    if member is not None:
+        change |= member[1:] != member[:-1]
+    return np.concatenate(([0], np.flatnonzero(change) + 1))
 
 
 class _Partition:
@@ -450,12 +472,8 @@ class _Runs:
         """Run-length encoding of ``mass``.  With a boolean ``member`` vector
         the runs are also cut where it changes, and each run's membership is
         returned alongside."""
-        change = mass[1:] != mass[:-1]
-        if member is not None:
-            change |= member[1:] != member[:-1]
-        starts = np.flatnonzero(change) + 1
-        heads = np.concatenate(([0], starts))
-        runs = cls((heads + 1).tolist(), starts.tolist() + [mass.size], mass[heads].tolist())
+        heads = _run_heads(mass, member)
+        runs = cls((heads + 1).tolist(), heads[1:].tolist() + [mass.size], mass[heads].tolist())
         return runs, None if member is None else member[heads].tolist()
 
     def __len__(self) -> int:

@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import NoiseProfile, noise_for_size
+from .channel import NoiseProfile, _noise_function
 from .errors import CapExceededError, ContractViolationError
 from .posterior import Posterior, _Partition, _Runs
 from .strategies import _ROOT, StrategyKind, _run_for
@@ -203,16 +203,19 @@ def _run(
     :func:`_uniform_blocks` of it, which gives the same values.
 
     Each step evaluates the channel once, for both the observation and the
-    update, and each connected-rule step starts its heavy-node descent from
-    the previous step's node (:func:`strategies._heaviest`).  The kernel's
-    O(#intervals) ``peak()`` scan runs only on steps that read the peak or
-    the argmax: a traced step, a checkpoint, the fixed-length horizon, and a
+    update, through one function built per episode
+    (:func:`channel._noise_function`, the floats of ``noise_for_size``), and
+    passes the query to the kernel's ``update`` in the kernel's own form.
+    Each connected-rule step starts its heavy-node descent from the previous
+    step's node (:func:`strategies._heaviest`).  The kernel's O(#intervals)
+    ``peak()`` scan runs only on steps that read the peak or the argmax: a
+    traced step, a checkpoint, the fixed-length horizon, and a
     variable-length step whose largest interval mass (``peak_bound()``, an
-    upper bound on every bin's mass) exceeds ``1 - eps``.  On any other step the peak cannot pass the threshold, so
-    the record is the one a scan on every step would give.
+    upper bound on every bin's mass) exceeds ``1 - eps``.  On any other step
+    the peak cannot pass the threshold, so the record is the one a scan on
+    every step would give.
     """
     n = config.n_bins
-    profile = config.profile
     kind = config.strategy
     sort = kind is StrategyKind.SORT_PM
     # sortPM cuts at most one run per query, a connected query at most two
@@ -239,6 +242,8 @@ def _run(
     cps = checkpoints or ()
 
     next_uniform = (iter(rng.random, None) if uniforms is None else uniforms).__next__
+    noise = _noise_function(config.profile)
+    peak_bound = state.peak_bound
     depth = config.L
     node = _ROOT  # the last heavy node, where the next descent starts
     sizes: list[float] = []
@@ -247,20 +252,19 @@ def _run(
     ops = 0
 
     for tau in range(1, STEP_CAP + 1):
-        # query: the kernel's own form of the query set, as update arguments
         if sort:
             flags, size = state.select()
-            member = flags[bisect_right(state.los, truth) - 1]
-            query = (flags,)
+            frac = size / n
+            p = noise(frac)
+            y = flags[bisect_right(state.los, truth) - 1] ^ (next_uniform() < p)
+            state.update(flags, y, p)
         else:
             s1, s2, node = _run_for(kind, state, depth, node)
-            size = s2 - s1 + 1
-            member = s1 <= truth <= s2
-            query = (s1, s2)
-        frac = size / n
-        p = noise_for_size(profile, frac)
-        state.update(*query, member ^ (next_uniform() < p), p)
-        k = len(state)
+            frac = (s2 - s1 + 1) / n
+            p = noise(frac)
+            y = (s1 <= truth <= s2) ^ (next_uniform() < p)
+            state.update(s1, s2, y, p)
+        k = len(state.los)
         if k > cuts_per_step * tau + 1:
             raise ContractViolationError(
                 f"posterior has {k} intervals after {tau} queries, "
@@ -270,7 +274,7 @@ def _run(
         sizes.append(frac)
         if (
             tau == fl_n or trace or tau in cps
-            or (fl_n is None and state.peak_bound() > threshold)
+            or (fl_n is None and peak_bound() > threshold)
         ):
             peak, estimate = state.peak()
             if trace:

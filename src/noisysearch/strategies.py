@@ -209,42 +209,50 @@ def _heaviest(idx, depth: int, start: tuple = _ROOT) -> tuple:
     above 1.  So once a node weighs ``1/2 + _HEAVY_MARGIN``, no node
     disjoint from it reaches 1/2.  The root descent then meets no fork and
     no stop above that node, and passes through it, and from there both runs
-    are the same code.  Only the episode engine, whose posteriors keep ``K`` within that bound,
-    starts warm; the public selections start from the root.
+    are the same code.  Only the episode engine, whose posteriors keep ``K``
+    within that bound, starts warm; the public selections start from the
+    root.
+
+    The climb is here and the descent in :func:`_descend`, a module-level
+    function, so that a call builds no nested function.
     """
-
-    def descend(level: int, m: int, pref_lo: float, pref_hi: float) -> tuple:
-        while level < depth:
-            half = 1 << (depth - level - 1)
-            mid = m * 2 * half + half  # last bin of the left child
-            pref_mid = idx.prefix(mid)
-            left = pref_mid - pref_lo
-            right = pref_hi - pref_mid
-            if left >= 0.5 and right >= 0.5:
-                cand_l = descend(level + 1, 2 * m, pref_lo, pref_mid)
-                cand_r = descend(level + 1, 2 * m + 1, pref_mid, pref_hi)
-                # deeper level wins; at equal depth both weigh exactly 1/2
-                # and the left one has the smaller index
-                return cand_l if cand_l[0] >= cand_r[0] else cand_r
-            if left >= 0.5:
-                level, m, pref_hi = level + 1, 2 * m, pref_mid
-            elif right >= 0.5:
-                level, m, pref_lo = level + 1, 2 * m + 1, pref_mid
-            else:
-                return level, m, pref_lo, pref_mid, pref_hi
-        return level, m, pref_lo, None, pref_hi
-
+    prefix = idx.prefix
     level, m = start
     width = 1 << (depth - level)
-    pref_lo = idx.prefix(m * width)
-    pref_hi = idx.prefix(m * width + width)
+    pref_lo = prefix(m * width)
+    pref_hi = prefix(m * width + width)
     while level and pref_hi - pref_lo < 0.5 + _HEAVY_MARGIN:
         if m & 1:
-            pref_lo = idx.prefix((m - 1) * width)
+            pref_lo = prefix((m - 1) * width)
         else:
-            pref_hi = idx.prefix((m + 2) * width)
+            pref_hi = prefix((m + 2) * width)
         level, m, width = level - 1, m >> 1, width << 1
-    return descend(level, m, pref_lo, pref_hi)
+    return _descend(idx, depth, level, m, pref_lo, pref_hi)
+
+
+def _descend(idx, depth: int, level: int, m: int, pref_lo: float, pref_hi: float) -> tuple:
+    """:func:`_heaviest`'s descent from node ``(level, m)``, whose end-point
+    prefixes are ``pref_lo`` and ``pref_hi``; it recurses only at the fork."""
+    prefix = idx.prefix
+    while level < depth:
+        half = 1 << (depth - level - 1)
+        mid = m * 2 * half + half  # last bin of the left child
+        pref_mid = prefix(mid)
+        left = pref_mid - pref_lo
+        right = pref_hi - pref_mid
+        if left >= 0.5 and right >= 0.5:
+            cand_l = _descend(idx, depth, level + 1, 2 * m, pref_lo, pref_mid)
+            cand_r = _descend(idx, depth, level + 1, 2 * m + 1, pref_mid, pref_hi)
+            # deeper level wins; at equal depth both weigh exactly 1/2
+            # and the left one has the smaller index
+            return cand_l if cand_l[0] >= cand_r[0] else cand_r
+        if left >= 0.5:
+            level, m, pref_hi = level + 1, 2 * m, pref_mid
+        elif right >= 0.5:
+            level, m, pref_lo = level + 1, 2 * m + 1, pref_mid
+        else:
+            return level, m, pref_lo, pref_mid, pref_hi
+    return level, m, pref_lo, None, pref_hi
 
 
 def heaviest_node(post: Posterior, depth: int) -> TreeNode:

@@ -38,6 +38,13 @@ class TestParsing:
         assert parse_n_values("10,20,30") == [10, 20, 30]
         assert parse_n_values("25") == [25]
 
+    @pytest.mark.parametrize("spec", ["1:2:3:4", "5:", "3,,4", "1.5", ""])
+    def test_malformed_n_spec_names_the_spec(self, spec):
+        with pytest.raises(ValueError) as exc:
+            parse_n_values(spec)
+        msg = str(exc.value)
+        assert "\n" not in msg and repr(spec) in msg and "LO:HI:STEP" in msg
+
     def test_noise_grammar(self):
         assert parse_noise("affine:0.1:0.5") == AffineNoise(0.1, 0.5)
         assert parse_noise("constant:0.3") == ConstantNoise(0.3)
@@ -104,6 +111,9 @@ class TestParsing:
              "--vl", "0.1", "--trials", "1", "--out", "x.csv"],  # converse 2.3e6 steps
             ["simulate", "--strategy", "hie", "--L", "8", "--noise", "affine:0.4999:0.0001",
              "--vl", "0.1", "--trials", "1", "--out", "x.csv"],  # converse 2.3e8 steps
+            *(["sweep", "--strategy", "dya", "--L", "6", "--noise", "affine:0.1:0.5",
+               "--n", spec, "--out", "x.csv"]  # malformed budget specs
+              for spec in ("1:2:3:4", "5:", "3,,4", "1.5")),
         ],
     )
     def test_usage_errors_exit_nonzero(self, argv, tmp_path, monkeypatch):
@@ -361,6 +371,9 @@ class TestExecution:
                                  "alpha": 0.015625}, id="bounds-vl-underflow"),
             pytest.param(False, {"noise": "constant:0.499", "L": 8, "vl": 0.1},
                          id="converse-over-step-cap"),
+            *(pytest.param(False, {"subcommand": "sweep", "vl": None, "n_spec": spec},
+                           id=f"sweep-n-{spec}")
+              for spec in ("1:2:3:4", "5:", "3,,4", "1.5")),
         ],
     )
     def test_bad_manifest_is_a_usage_error(self, via_json, fields, tmp_path, monkeypatch, capsys):

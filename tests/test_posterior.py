@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from noisysearch.channel import AffineNoise, ConstantNoise
+from noisysearch.channel import AffineNoise, ConstantNoise, noise_for_size
 from noisysearch.errors import ContractViolationError, ZeroLikelihoodError
 from noisysearch.posterior import (
     PosteriorDense,
     PosteriorPartition,
     QuerySet,
     _Partition,
+    _Runs,
     avg_log_likelihood,
     bayes_update_dense,
     bayes_update_partition,
@@ -99,6 +100,53 @@ class TestDenseUpdate:
     def test_bad_observation_rejected(self):
         with pytest.raises(ValueError):
             bayes_update_dense(PosteriorDense.uniform(4), QuerySet.from_run(1, 2), 2, AFFINE)
+
+
+def runs_update(post: PosteriorDense, query: QuerySet, y: int, profile) -> tuple[np.ndarray, bool]:
+    """The sortPM kernel's step on the vector's runs, expanded, and whether
+    it merged neighbours."""
+    n = post.n_bins
+    runs, flags = _Runs.of(post.mass, query.member_mask(n))
+    runs.update(flags, y, noise_for_size(profile, query.size_fraction(n)))
+    return runs.expand(), len(runs) < len(flags)
+
+
+class TestDenseUpdateEqualsRunKernel:
+    @staticmethod
+    def starts(rng):
+        yield PosteriorDense.uniform(64)
+        for n in (1, 2, 16, 256, 4096):
+            yield PosteriorDense(rng.dirichlet(np.ones(n)))
+        widths = np.array([1, 3, 64, 2, 100, 5, 80, 1])
+        yield PosteriorDense(np.repeat(rng.dirichlet(np.ones(widths.size)) / widths, widths))
+        zeros = rng.dirichlet(np.ones(64)) * (rng.random(64) < 0.5)
+        yield PosteriorDense(zeros / zeros.sum())
+
+    @pytest.mark.parametrize("profile", [AFFINE, ConstantNoise(0.2), ConstantNoise(0.3, p_floor=0.0)],
+                             ids=["affine", "constant", "constant-no-floor"])
+    def test_walks_equal_the_kernel(self, profile):
+        # a few steps from each start, with both answers, contiguous and
+        # scattered queries; constant noise gives exact ties between runs,
+        # which the kernel merges and the dense update leaves apart
+        rng = np.random.default_rng(14)
+        merged = False
+        for post in self.starts(rng):
+            n = post.n_bins
+            for step in range(6):
+                if step % 2 or n < 4:
+                    lo = int(rng.integers(1, n + 1))
+                    query = QuerySet.from_run(lo, int(rng.integers(lo, n + 1)))
+                else:
+                    picks = np.flatnonzero(rng.random(n) < 0.4) + 1
+                    query = QuerySet.from_indices(picks if picks.size else [1])
+                for y in (0, 1):
+                    want, did_merge = runs_update(post, query, y, profile)
+                    got = bayes_update_dense(post, query, y, profile).mass
+                    assert got.tobytes() == want.tobytes(), (n, step, y)
+                    merged |= did_merge
+                post = PosteriorDense(got)
+        if profile is not AFFINE:
+            assert merged
 
 
 class TestPartitionUpdate:
