@@ -21,9 +21,10 @@ public functions and the selection rules build one from the frozen arrays.
 :class:`_Runs`, the maximal runs of equal per-bin value, is the same for the
 sorted-matching rule: a sortPM query cuts at most one run, so after ``t``
 steps there are at most ``t + 1`` runs, and the engine never holds the
-``n``-entry vector.  :func:`select_sort_pm` and :func:`bayes_update_dense`
-run the kernel on the run-length encoding of the vector, so they agree with
-the engine bit for bit.
+``n``-entry vector.  :func:`select_sort_pm` runs the kernel on the
+run-length encoding of the vector, and :func:`bayes_update_dense` does the
+kernel's float operations on it in numpy, so both agree with the engine bit
+for bit.
 
 Bins are indexed 1..n throughout the public API; intervals are inclusive
 ``(lo, hi)`` pairs.
