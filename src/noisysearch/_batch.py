@@ -15,6 +15,12 @@ which adds in sequence like the scalar loops; a pairwise ``np.sum`` would not.
 Interval ends are exact integers; the divisions that turn them into
 fractions convert them to float64, which is exact for ``L <= 53``.
 
+Both kinds of row live in one store, :class:`_Rows`: each row's part
+starts in ``los``, padded to the width :func:`sim._row_width` gives, one
+flat offset per row and one column-insert routine, :meth:`_Rows._open`,
+that both kinds of cut call.  :class:`_Batch` adds the interval masses and prefix sums,
+:class:`_RunBatch` the run values.
+
 A fixed-length trial takes exactly ``n`` steps, so no row idles.  Each trial
 draws its target and then its ``n`` uniforms as one ``random(n)`` block,
 which holds the values of ``n`` scalar draws.
@@ -28,76 +34,90 @@ import numpy as np
 
 from .channel import _noise_for_sizes
 from .errors import ContractViolationError, ZeroLikelihoodError
-from .sim import SearchConfig, _TrialStreams
+from .sim import SearchConfig, _row_width, _TrialStreams
 from .strategies import _HEAVY_MARGIN, StrategyKind
 
 
-class _Batch:
-    """Row ``r`` holds an interval partition, as :class:`posterior._Partition`
-    does: its first ``k[r]`` columns are the intervals, and the rest pad,
-    with start ``n + 1``, mass 0 and prefix sum the row's total.
+class _Rows:
+    """The row store of a lockstep batch: row ``r`` holds the ``k[r]``
+    parts (intervals or runs) of one trial's posterior in its first
+    ``k[r]`` columns, and the rest pad, with start ``n + 1``.
 
-    Interval ``j`` ends at ``los[r, j + 1] - 1``, so ``los`` keeps one pad
-    column past the widest row.  ``w`` is the widest row's interval count;
-    only the first ``w`` (``w + 1`` for ``los``) columns are read.  The
-    three arrays share their shape, so one flat index, ``at(rows) + j``,
-    reads column ``j`` of each.
+    Part ``j`` ends at ``los[r, j + 1] - 1``, so ``los`` keeps one pad
+    column past the widest row.  ``w`` is the widest row's part count; only
+    the first ``w`` (``w + 1`` for ``los``) columns are read.  A subclass's
+    per-part arrays, and the flags :meth:`_RunBatch.select` returns, share
+    ``los``'s shape, so one flat index, ``row0 + j``, reads column ``j`` of
+    each.
     """
 
-    __slots__ = ("los", "masses", "cums", "k", "w", "n", "r", "cols")
+    __slots__ = ("los", "k", "w", "n", "r", "cols", "row0")
 
-    def __init__(self, rows: int, n: int, steps: int):
-        # room for 2t + 1 intervals, one more cut and the pad column of los
-        self.cols = cols = 2 * steps + 3
+    def __init__(self, rows: int, n: int, cols: int):
+        self.cols = cols
         self.los = np.full((rows, cols), n + 1, dtype=np.int64)
         self.los[:, 0] = 1
-        self.masses = np.zeros((rows, cols))
-        self.masses[:, 0] = 1.0
-        self.cums = np.ones((rows, cols))
         self.k = np.ones(rows, dtype=np.int64)
         self.w = 1
         self.n = n
         self.r = np.arange(rows)
+        self.row0 = self.r * cols
 
-    def at(self, rows) -> np.ndarray:
-        """Flat index of column 0 of ``rows`` (of every row when None)."""
-        return (self.r if rows is None else rows) * self.cols
+    def _open(self, opened: np.ndarray, pos: np.ndarray, *arrays: np.ndarray) -> None:
+        """In the rows ``opened``, open column ``pos[r]`` of ``los`` and of
+        each of ``arrays``: it and the columns after it move one to the right,
+        and the row gains a part.  The opened column holds a copy of the one
+        before it until the caller writes it."""
+        w = self.w
+        if w + 2 > self.cols:
+            raise ContractViolationError(f"a row holds more than {w} parts")
+        c = np.arange(w + 2)
+        # column c of an opening row reads c - 1 from pos on; w + 1 opens nothing
+        src = self.row0[:, None] + c - (c >= np.where(opened, pos, w + 1)[:, None])
+        self.los[:, : w + 2] = self.los.take(src)
+        for a in arrays:
+            a[:, : w + 1] = a.take(src[:, :-1])
+        self.k = self.k + opened
+        self.w = int(self.k.max())
+
+
+class _Batch(_Rows):
+    """Rows of :class:`posterior._Partition` intervals: a pad has mass 0 and
+    prefix sum the row's total."""
+
+    __slots__ = ("masses", "cums")
+
+    def __init__(self, rows: int, n: int, steps: int):
+        super().__init__(rows, n, _row_width(False, steps))
+        self.masses = np.zeros((rows, self.cols))
+        self.masses[:, 0] = 1.0
+        self.cums = np.ones((rows, self.cols))
 
     def cut(self, b: np.ndarray) -> np.ndarray:
         """Row-wise :meth:`_Partition.cut`: split so that an interval starts
         at ``b[r]``, and return that interval's index (0 for ``b <= 1``, the
         interval count for ``b > n``)."""
-        w, k = self.w, self.k
+        k = self.k
         if (b <= 1).all():
             return np.zeros_like(b)
         beyond = b > self.n
-        j = np.count_nonzero(self.los[:, :w] <= b[:, None], axis=1) - 1
+        j = np.count_nonzero(self.los[:, : self.w] <= b[:, None], axis=1) - 1
         j[beyond] = k[beyond] - 1
-        f = self.at(None) + j
+        f = self.row0 + j
         lo = self.los.take(f)
         split = (lo != b) & ~beyond & (b > 1)
         out = np.where(beyond, k, j + split)
         if not split.any():
             return out
-        if w + 2 > self.cols:
-            raise ContractViolationError(f"a row holds more than {w} intervals")
-        # interval j of a splitting row becomes j and j + 1; the rest move up
+        # interval j of a splitting row becomes j and j + 1
         end = self.los.take(f + 1)  # hi + 1
         width = end - lo
         m = self.masses.take(f)
-        pos = np.where(split, j + 1, w + 1)
-        cols = np.arange(w + 2)
-        src = self.at(None)[:, None] + cols - (cols > pos[:, None])
-        new_los = self.los.take(src)
-        new_masses = self.masses.take(src[:, :-1])
-        rows = self.r[split]
-        new_los[rows, pos[split]] = b[split]
-        new_masses[rows, j[split]] = (m * ((b - lo) / width))[split]
-        new_masses[rows, pos[split]] = (m * ((end - b) / width))[split]
-        self.los[:, : w + 2] = new_los
-        self.masses[:, : w + 1] = new_masses
-        self.k = k + split
-        self.w = int(self.k.max())
+        self._open(split, j + 1, self.masses)
+        rows, j = self.r[split], j[split]
+        self.los[rows, j + 1] = b[split]
+        self.masses[rows, j] = (m * ((b - lo) / width))[split]
+        self.masses[rows, j + 1] = (m * ((end - b) / width))[split]
         return out
 
     def update(self, s1: np.ndarray, s2: np.ndarray, y: np.ndarray, p: np.ndarray) -> None:
@@ -127,7 +147,7 @@ class _Batch:
 
     def prefix_in(self, rows, j: np.ndarray, k: np.ndarray) -> np.ndarray:
         """:meth:`_Partition.prefix_in`: the prefix at a bin ``k`` of interval ``j``."""
-        f = self.at(rows) + j
+        f = (self.row0 if rows is None else rows * self.cols) + j
         lo = self.los.take(f)
         hi = self.los.take(f + 1) - 1
         before = np.where(j > 0, self.cums.take(f - 1), 0.0)
@@ -142,7 +162,7 @@ class _Batch:
         j = np.count_nonzero(self.cums[:, : self.w] < target[:, None], axis=1)
         over = j >= k
         j = np.where(over, k - 1, j)
-        f = self.at(None) + j
+        f = self.row0 + j
         before = np.where(j > 0, self.cums.take(f - 1), 0.0)
         mass = self.masses.take(f)
         lo = self.los.take(f)
@@ -159,36 +179,21 @@ class _Batch:
         real = np.arange(w) < self.k[:, None]
         widths = np.where(real, los[:, 1:] - los[:, :-1], 1)
         density = np.where(real, self.masses[:, :w] / widths, -np.inf)
-        return self.los.take(self.at(None) + np.argmax(density, axis=1))
+        return self.los.take(self.row0 + np.argmax(density, axis=1))
 
 
-class _RunBatch:
-    """Row ``r`` holds the runs of :class:`posterior._Runs`: its first
-    ``k[r]`` columns are the runs, and the rest pad, with start ``n + 1``
-    and value 0.
+class _RunBatch(_Rows):
+    """Rows of :class:`posterior._Runs` runs: a pad has value 0 and, ending
+    where it starts, width 0, so it adds 0.0 to every in-order sum; with the
+    smallest value, and after every run, it also comes last in the stable
+    order of decreasing value."""
 
-    Run ``u`` ends at ``los[r, u + 1] - 1``, so a pad has width 0 and adds
-    0.0 to every in-order sum; with the smallest value, and after every
-    run, it also comes last in the stable order of decreasing value.  ``w`` is the widest row's run count;
-    only the first ``w`` (``w + 1`` for ``los``) columns are read.  The
-    arrays, and the flags :meth:`select` returns, share their shape, so one
-    flat index, ``row0 + u``, reads column ``u`` of each.
-    """
-
-    __slots__ = ("los", "vals", "k", "w", "n", "r", "cols", "row0")
+    __slots__ = ("vals",)
 
     def __init__(self, rows: int, n: int, steps: int):
-        # room for t + 1 runs after t queries and the pad column of los
-        self.cols = cols = steps + 2
-        self.los = np.full((rows, cols), n + 1, dtype=np.int64)
-        self.los[:, 0] = 1
-        self.vals = np.zeros((rows, cols))
+        super().__init__(rows, n, _row_width(True, steps))
+        self.vals = np.zeros((rows, self.cols))
         self.vals[:, 0] = 1.0 / n
-        self.k = np.ones(rows, dtype=np.int64)
-        self.w = 1
-        self.n = n
-        self.r = np.arange(rows)
-        self.row0 = self.r * cols
 
     def select(self) -> tuple[np.ndarray, np.ndarray]:
         """Row-wise :meth:`_Runs.select`: ``(flags, size)``, the membership
@@ -214,7 +219,11 @@ class _RunBatch:
         flags.flat[at] = j > 0  # the whole run, or its first j bins after the cut
         cut = (j > 0) & (j < wi)
         if cut.any():
-            self._cut(flags, cut, i, lo + j)
+            # a run starts after the first j bins of run i; it keeps the value, unflagged
+            self._open(cut, i + 1, self.vals, flags)
+            rows, at = self.r[cut], i[cut] + 1
+            self.los[rows, at] = (lo + j)[cut]
+            flags[rows, at] = False
         return flags, size + j
 
     def _crossing(self) -> tuple:
@@ -237,25 +246,6 @@ class _RunBatch:
         size = np.sum(widths, axis=1, where=flags[:, :w])
         taken = np.where(s > 0, taken_after[r, s - 1], 0.0)
         return flags, order[r, s], taken, size
-
-    def _cut(self, flags: np.ndarray, cut: np.ndarray, i: np.ndarray, b: np.ndarray) -> None:
-        """In the rows ``cut``, split run ``i`` so that a run starts at bin
-        ``b``; the new run keeps the value and is not flagged."""
-        w = self.w
-        if w + 2 > self.cols:
-            raise ContractViolationError(f"a row holds more than {w} runs")
-        # column i + 1 of a cutting row reads column i, and the rest move up
-        pos = np.where(cut, i + 1, w + 1)
-        c = np.arange(w + 2)
-        src = self.row0[:, None] + c - (c >= pos[:, None])
-        self.los[:, : w + 2] = self.los.take(src)
-        self.vals[:, : w + 1] = self.vals.take(src[:, :-1])
-        flags[:, : w + 1] = flags.take(src[:, :-1])
-        rows, at = self.r[cut], pos[cut]
-        self.los[rows, at] = b[cut]
-        flags[rows, at] = False
-        self.k = self.k + cut
-        self.w = int(self.k.max())
 
     def member(self, flags: np.ndarray, truth: np.ndarray) -> np.ndarray:
         """Whether each row's ``truth`` lies in a flagged run."""
@@ -374,7 +364,7 @@ def _best_prefix_end(batch: _Batch, start: np.ndarray, base: np.ndarray) -> np.n
     """Row-wise :func:`strategies._best_prefix_end`."""
     k0, j = batch.first_reaching(base + 0.5)
     n = batch.n
-    f = batch.at(None) + j
+    f = batch.row0 + j
     lo = batch.los.take(f)
     hi = batch.los.take(f + 1) - 1
     best_k = np.zeros_like(k0)
@@ -390,12 +380,6 @@ def _best_prefix_end(batch: _Batch, start: np.ndarray, base: np.ndarray) -> np.n
     return best_k
 
 
-def _lex_less(a: tuple, b: tuple) -> np.ndarray:
-    """Row-wise ``a < b`` for tuples of arrays compared lexicographically."""
-    (da, la, ia), (db, lb, ib) = a, b
-    return (da < db) | ((da == db) & ((la < lb) | ((la == lb) & (ia < ib))))
-
-
 def _select(kind: StrategyKind, batch: _Batch, depth: int, level, m) -> tuple:
     """Row-wise :func:`strategies._run_for`: ``(s1, s2, level, m)``."""
     rows = batch.r.size
@@ -406,16 +390,13 @@ def _select(kind: StrategyKind, batch: _Batch, depth: int, level, m) -> tuple:
     if kind is StrategyKind.DYA_PM:
         d = m * np.left_shift(1, depth - level) + 1
         return d, _best_prefix_end(batch, d, pref_lo), level, m
-    best = (np.abs(pref_hi - pref_lo - 0.5), -level, m)
-    inner = level < depth
-    for cand in (
-        (np.abs(pref_mid - pref_lo - 0.5), -level - 1, 2 * m),
-        (np.abs(pref_hi - pref_mid - 0.5), -level - 1, 2 * m + 1),
-    ):
-        take = inner & _lex_less(cand, best)
-        best = tuple(np.where(take, c, b) for c, b in zip(cand, best))
-    _, neg_level, index = best
-    width = np.left_shift(1, depth + neg_level)
+    d = np.abs(pref_hi - pref_lo - 0.5)
+    dl = np.abs(pref_mid - pref_lo - 0.5)
+    dr = np.abs(pref_hi - pref_mid - 0.5)
+    # the scalar rule's comparisons; a leaf's NaN pref_mid compares false
+    child = (dl <= d) | (dr <= d)
+    index = np.where(child, 2 * m + (dr < dl), m)
+    width = np.left_shift(1, depth - level - child)
     return index * width + 1, (index + 1) * width, level, m
 
 

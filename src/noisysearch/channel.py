@@ -106,7 +106,7 @@ def eval_noise(profile: NoiseProfile, size_fraction: float) -> float:
     """
     if not (0.0 <= size_fraction <= 0.5):
         raise ValueError(f"size_fraction must be in [0, 0.5], got {size_fraction}")
-    return min(max(_raw_noise(profile, size_fraction), profile.p_floor), P_CEILING)
+    return _noise_function(profile)(size_fraction)
 
 
 def _coefficients(profile: NoiseProfile) -> tuple[float, float]:
@@ -115,12 +115,6 @@ def _coefficients(profile: NoiseProfile) -> tuple[float, float]:
     if isinstance(profile, AffineNoise):
         return profile.a, profile.b
     return profile.p, 0.0
-
-
-def _raw_noise(profile: NoiseProfile, x):
-    """The profile's value at ``x`` (a float or a float64 array), unclamped."""
-    a, b = _coefficients(profile)
-    return a + b * x
 
 
 def noise_for_size(profile: NoiseProfile, size_fraction: float) -> float:
@@ -135,7 +129,7 @@ def noise_for_size(profile: NoiseProfile, size_fraction: float) -> float:
 
 def _noise_function(profile: NoiseProfile) -> Callable[[float], float]:
     """:func:`noise_for_size` of ``profile`` as a function of one query
-    fraction in (0, 1]: the same floats, with no range check and one call.
+    fraction in [0, 1]: the same floats, with no range check and one call.
     The episode engine builds it once per episode."""
     a, b = _coefficients(profile)
     floor, ceiling = profile.p_floor, P_CEILING
@@ -153,8 +147,8 @@ def _noise_function(profile: NoiseProfile) -> Callable[[float], float]:
 def _noise_for_sizes(profile: NoiseProfile, fractions: np.ndarray) -> np.ndarray:
     """:func:`noise_for_size` elementwise over an array of query fractions in
     ``[0, 1]``: the same floats, clamped by the same max and then min."""
-    raw = _raw_noise(profile, np.minimum(fractions, 0.5))
-    p = np.minimum(np.maximum(raw, profile.p_floor), P_CEILING)
+    a, b = _coefficients(profile)
+    p = np.minimum(np.maximum(a + b * np.minimum(fractions, 0.5), profile.p_floor), P_CEILING)
     return np.broadcast_to(p, fractions.shape)
 
 

@@ -54,7 +54,8 @@ __all__ = ["RunManifest", "parse_args", "execute", "main"]
 
 _STRATEGY_NAMES = tuple(k.value for k in StrategyKind)
 _BOUND_STRATEGY_NAMES = ("sort", "dya", "hie")
-_MAX_L = 30
+# float64 holds bin counts up to 2**53 exactly; no CLI path does 2**L work
+_MAX_L = 53
 _DEFAULT_ALPHA = 2.0**-6
 
 

@@ -239,7 +239,8 @@ def _run(
     fl_n = config.stopping.n if isinstance(config.stopping, FixedLength) else None
     # a fixed-length run never stops on the peak
     threshold = math.inf if fl_n is not None else 1.0 - config.stopping.epsilon
-    cps = checkpoints or ()
+    cps = (*(checkpoints or ()), 0)  # in order, then 0, which no step matches
+    c = 0  # cps[c] is the next checkpoint
 
     next_uniform = (iter(rng.random, None) if uniforms is None else uniforms).__next__
     noise = _noise_function(config.profile)
@@ -273,14 +274,15 @@ def _run(
         ops += k
         sizes.append(frac)
         if (
-            tau == fl_n or trace or tau in cps
+            tau == fl_n or trace or tau == cps[c]
             or (fl_n is None and peak_bound() > threshold)
         ):
             peak, estimate = state.peak()
             if trace:
                 max_trace.append(peak)
-            if tau in cps:
+            if tau == cps[c]:
                 cp_estimates.append(estimate)
+                c += 1
             if tau == fl_n or peak > threshold:
                 break
     else:
@@ -340,14 +342,19 @@ def episode_final_posterior(config: SearchConfig, trial_index: int = 0) -> Poste
 # The lockstep engine (:mod:`._batch`) beats the scalar one only from some
 # tens of rows per batch: at L = 8..20 and n = 12..300 it breaks even near
 # 24 rows for median, 16-24 for sort and 48-64 for dya and hie, and at one
-# row it is 10-30x slower.  Each of a batch's (rows, width) arrays, of width
-# 2n + 3 for the connected rules and n + 2 for sort, holds at most
-# _BATCH_CELLS cells (512 KiB), and a batch at most _BATCH_MAX_ROWS rows:
-# past a few hundred rows numpy's per-call cost is spread thin, while the
-# batch's (rows,) vectors keep growing.
+# row it is 10-30x slower.  Each of a batch's (rows, _row_width) arrays
+# holds at most _BATCH_CELLS cells (512 KiB), and a batch at most
+# _BATCH_MAX_ROWS rows: past a few hundred rows numpy's per-call cost is
+# spread thin, while the batch's (rows,) vectors keep growing.
 _BATCH_MIN_ROWS = 64
 _BATCH_CELLS = 1 << 16
 _BATCH_MAX_ROWS = 1 << 10
+
+
+def _row_width(sort: bool, steps: int) -> int:
+    """Columns of a lockstep batch's arrays: sortPM's ``t + 1`` runs, or a
+    connected rule's ``2t + 1`` intervals and one more cut, and a pad column."""
+    return steps + 2 if sort else 2 * steps + 3
 
 
 def _lockstep_batches(config: SearchConfig, trials: int) -> int:
@@ -358,8 +365,7 @@ def _lockstep_batches(config: SearchConfig, trials: int) -> int:
     each."""
     if not (isinstance(config.stopping, FixedLength) and 1 <= config.L <= 53):
         return 0
-    n = config.stopping.n
-    width = n + 2 if config.strategy is StrategyKind.SORT_PM else 2 * n + 3
+    width = _row_width(config.strategy is StrategyKind.SORT_PM, config.stopping.n)
     cap = min(_BATCH_MAX_ROWS, _BATCH_CELLS // width)
     if cap < _BATCH_MIN_ROWS:
         return 0

@@ -137,13 +137,15 @@ def _run_for(kind: "StrategyKind", idx, depth: int, start: tuple = _ROOT) -> tup
         return d, _best_prefix_end(idx, d, pref_lo), (level, m)
     if kind is StrategyKind.HIE_PM:
         level, m, pref_lo, pref_mid, pref_hi = _heaviest(idx, depth, start)
-        # (|mass - 1/2|, -level, index) of the anchor and its children
-        candidates = [(abs(pref_hi - pref_lo - 0.5), -level, m)]
+        # a child no farther from 1/2 than the anchor wins, and of the two
+        # the left one unless the right one is strictly closer
+        index, width = m, 1 << (depth - level)
         if level < depth:
-            candidates.append((abs(pref_mid - pref_lo - 0.5), -level - 1, 2 * m))
-            candidates.append((abs(pref_hi - pref_mid - 0.5), -level - 1, 2 * m + 1))
-        _, neg_level, index = min(candidates)
-        width = 1 << (depth + neg_level)
+            d = abs(pref_hi - pref_lo - 0.5)
+            dl = abs(pref_mid - pref_lo - 0.5)
+            dr = abs(pref_hi - pref_mid - 0.5)
+            if dl <= d or dr <= d:
+                index, width = 2 * m + (dr < dl), width >> 1
         return index * width + 1, (index + 1) * width, (level, m)
     raise ValueError(f"no contiguous selection rule for {kind!r}")
 

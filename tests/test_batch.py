@@ -290,6 +290,31 @@ def test_reads_equal_partition_reads(kind, monkeypatch):
             assert got[i] == strategies._best_prefix_end(part, start[i], base[i]), (c, i)
 
 
+def test_hie_choice_on_ties():
+    # intervals [1, 2], [3, 4] and [5, 8] of 8 bins, masses exact in binary;
+    # the heavy node is [1, 4] but in the last case, where the descent forks
+    cases = {
+        (0.375, 0.25, 0.375): (1, 2),  # the left child ties the node
+        (0.25, 0.375, 0.375): (3, 4),  # the right child ties the node
+        (0.34375, 0.34375, 0.3125): (1, 2),  # the children tie, closer than the node
+        (0.3125, 0.3125, 0.375): (1, 4),  # the node is closest
+        (1.0, 0.0, 0.0): (1, 1),  # a leaf
+    }
+    batch = _batch._Batch(len(cases), 8, 4)
+    batch.los[:, :4] = (1, 3, 5, 9)
+    batch.k[:] = 3
+    batch.w = 3
+    for row, masses in enumerate(cases):
+        cums = np.cumsum(masses)
+        part = _Partition([1, 3, 5], [2, 4, 8], list(masses), cums.tolist())
+        assert strategies._run_for(StrategyKind.HIE_PM, part, 3)[:2] == cases[masses]
+        batch.masses[row, :3] = masses
+        batch.cums[row, :3] = cums
+    root = np.zeros(len(cases), dtype=np.int64)
+    s1, s2, _, _ = _batch._select(StrategyKind.HIE_PM, batch, 3, root, root.copy())
+    assert list(zip(s1.tolist(), s2.tolist())) == list(cases.values())
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_batches_of_37_and_150_rows(kind):
     assert_rows_match(config(kind, 12, PROFILES["affine"], 60), 100, (37, 150), horizon=True)

@@ -66,7 +66,7 @@ class TestParsing:
         [
             ["simulate", "--strategy", "sort", "--noise", "affine:0.1:0.5",
              "--vl", "0.01", "--out", "x.csv"],  # missing --L
-            ["simulate", "--strategy", "sort", "--L", "31", "--noise", "affine:0.1:0.5",
+            ["simulate", "--strategy", "sort", "--L", "54", "--noise", "affine:0.1:0.5",
              "--vl", "0.01", "--out", "x.csv"],  # L out of range
             ["simulate", "--strategy", "sort", "--L", "10", "--noise", "affine:0.1:0.5",
              "--out", "x.csv"],  # no stopping rule
@@ -246,6 +246,25 @@ class TestExecution:
         rows = read_csv(out)
         assert [int(r["param"]) for r in rows] == [5, 10, 15, 20]
         assert all(r["stopping"] == "fl" for r in rows)
+
+    @pytest.mark.parametrize(
+        "argv, params",
+        [
+            (["simulate", "--strategy", "hie", "--vl", "0.001", "--trials", "4"], ["0.001"]),
+            # 64 trials: the batch path
+            (["sweep", "--strategy", "sort", "--n", "20:60:20", "--trials", "64"],
+             ["20", "40", "60"]),
+        ],
+        ids=("simulate", "sweep"),
+    )
+    def test_largest_resolution(self, argv, params, tmp_path):
+        # 2**53 bins, the most whose counts float64 holds exactly
+        out = tmp_path / "l53.csv"
+        assert main(argv + ["--L", "53", "--noise", "affine:0.1:0.5", "--seed", "5",
+                            "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [r["param"] for r in rows] == params
+        assert all(r["L"] == "53" and float(r["mean_tau"]) >= 20 for r in rows)
 
     def test_bounds_all_strategies(self, tmp_path):
         out = tmp_path / "bounds.csv"

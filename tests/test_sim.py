@@ -498,6 +498,18 @@ class TestCheckpointPrefixProperty:
                 assert solo.estimate == est
                 assert solo.truth == rec.truth
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_a_checkpoint_at_every_step(self, kind):
+        ns = range(1, 121)
+        cfg = config(L=12, strategy=kind, stopping=FixedLength(120), seed=79)
+        rec = run_episode(cfg, trial_rng(cfg.seed, 0), checkpoint_steps=ns)
+        solo = [
+            run_episode(dataclasses.replace(cfg, stopping=FixedLength(n)),
+                        trial_rng(cfg.seed, 0)).estimate
+            for n in ns
+        ]
+        assert list(rec.checkpoint_estimates) == solo
+
     def test_checkpoints_require_fixed_length(self):
         cfg = config()
         with pytest.raises(ValueError):
