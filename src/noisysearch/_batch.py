@@ -2,8 +2,8 @@
 
 :func:`run_batch` runs a batch of fixed-length trials of any rule step by
 step on ``(rows, width)`` arrays, one row per trial, instead of one trial at
-a time; :func:`sim._count_trials` sends it the batches that
-:func:`sim._lockstep_batches` sizes.
+a time.  It is an array engine only: :func:`sim._count_trials` sizes the
+batches, draws each trial's target and uniforms and counts the errors.
 Every operation is a row-wise copy of the scalar kernel's
 (:class:`posterior._Partition`, :func:`strategies._heaviest` and
 :func:`strategies._best_prefix_end` for ``median``, ``dya`` and ``hie``;
@@ -16,14 +16,13 @@ Interval ends are exact integers; the divisions that turn them into
 fractions convert them to float64, which is exact for ``L <= 53``.
 
 Both kinds of row live in one store, :class:`_Rows`: each row's part
-starts in ``los``, padded to the width :func:`sim._row_width` gives, one
+starts in ``los``, padded to the width :func:`_row_width` gives, one
 flat offset per row and one column-insert routine, :meth:`_Rows._open`,
 that both kinds of cut call.  :class:`_Batch` adds the interval masses and prefix sums,
 :class:`_RunBatch` the run values.
 
-A fixed-length trial takes exactly ``n`` steps, so no row idles.  Each trial
-draws its target and then its ``n`` uniforms as one ``random(n)`` block,
-which holds the values of ``n`` scalar draws.
+A fixed-length trial takes exactly ``n`` steps, so no row idles, and row
+``r`` reads its ``n`` uniforms from row ``r`` of a ``(rows, n)`` array.
 """
 
 from __future__ import annotations
@@ -34,8 +33,13 @@ import numpy as np
 
 from .channel import _noise_for_sizes
 from .errors import ContractViolationError, ZeroLikelihoodError
-from .sim import SearchConfig, _row_width, _TrialStreams
 from .strategies import _HEAVY_MARGIN, StrategyKind
+
+
+def _row_width(sort: bool, steps: int) -> int:
+    """Columns of a lockstep batch's arrays: sortPM's ``t + 1`` runs, or a
+    connected rule's ``2t + 1`` intervals and one more cut, and a pad column."""
+    return steps + 2 if sort else 2 * steps + 3
 
 
 class _Rows:
@@ -401,22 +405,14 @@ def _select(kind: StrategyKind, batch: _Batch, depth: int, level, m) -> tuple:
 
 
 def run_batch(
-    config: SearchConfig, checkpoints: Optional[tuple], start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Trials ``start..stop-1`` of a fixed-length run: ``(truth,
-    estimates)``, with ``estimates[i, c]`` trial ``start + i``'s estimate
-    after ``checkpoints[c]`` steps (after the horizon, without
-    checkpoints)."""
+    config, checkpoints: Optional[tuple], truth: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """The estimates of a batch of trials of the fixed-length run ``config``
+    (a :class:`sim.SearchConfig`): row ``i`` searches for ``truth[i]`` with
+    channel uniforms ``uniforms[i]``, and ``estimates[i, c]`` is its estimate
+    after ``checkpoints[c]`` steps (after the horizon, without checkpoints)."""
     n, depth, steps = config.n_bins, config.L, config.stopping.n
-    rows = stop - start
-    truth = np.full(rows, config.target or 0, dtype=np.int64)
-    uniforms = np.empty((rows, steps))
-    streams = _TrialStreams(config.seed)
-    for row in range(rows):
-        rng = streams(start + row)
-        if config.target is None:
-            truth[row] = rng.integers(1, n + 1)
-        uniforms[row] = rng.random(steps)
+    rows = truth.size
     cps = checkpoints or (steps,)
     estimates = np.empty((rows, len(cps)), dtype=np.int64)
 
@@ -448,4 +444,4 @@ def run_batch(
         if c < len(cps) and tau == cps[c]:
             estimates[:, c] = batch.peak()
             c += 1
-    return truth, estimates
+    return estimates

@@ -24,6 +24,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from . import _batch
 from .channel import NoiseProfile, _noise_function
 from .errors import CapExceededError, ContractViolationError
 from .posterior import Posterior, _Partition, _Runs
@@ -342,19 +343,13 @@ def episode_final_posterior(config: SearchConfig, trial_index: int = 0) -> Poste
 # The lockstep engine (:mod:`._batch`) beats the scalar one only from some
 # tens of rows per batch: at L = 8..20 and n = 12..300 it breaks even near
 # 24 rows for median, 16-24 for sort and 48-64 for dya and hie, and at one
-# row it is 10-30x slower.  Each of a batch's (rows, _row_width) arrays
+# row it is 10-30x slower.  Each of a batch's (rows, _batch._row_width) arrays
 # holds at most _BATCH_CELLS cells (512 KiB), and a batch at most
 # _BATCH_MAX_ROWS rows: past a few hundred rows numpy's per-call cost is
 # spread thin, while the batch's (rows,) vectors keep growing.
 _BATCH_MIN_ROWS = 64
 _BATCH_CELLS = 1 << 16
 _BATCH_MAX_ROWS = 1 << 10
-
-
-def _row_width(sort: bool, steps: int) -> int:
-    """Columns of a lockstep batch's arrays: sortPM's ``t + 1`` runs, or a
-    connected rule's ``2t + 1`` intervals and one more cut, and a pad column."""
-    return steps + 2 if sort else 2 * steps + 3
 
 
 def _lockstep_batches(config: SearchConfig, trials: int) -> int:
@@ -365,12 +360,26 @@ def _lockstep_batches(config: SearchConfig, trials: int) -> int:
     each."""
     if not (isinstance(config.stopping, FixedLength) and 1 <= config.L <= 53):
         return 0
-    width = _row_width(config.strategy is StrategyKind.SORT_PM, config.stopping.n)
+    width = _batch._row_width(config.strategy is StrategyKind.SORT_PM, config.stopping.n)
     cap = min(_BATCH_MAX_ROWS, _BATCH_CELLS // width)
     if cap < _BATCH_MIN_ROWS:
         return 0
     count = -(-trials // cap)
     return count if trials // count >= _BATCH_MIN_ROWS else 0
+
+
+def _draw_trials(config: SearchConfig, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(truth, uniforms)`` of fixed-length trials ``start..stop-1``: row
+    ``i`` holds trial ``start + i``'s target and then its horizon's uniforms,
+    drawn as one ``random(n)`` block, which holds the values of single draws."""
+    steps = config.stopping.n
+    truth = np.full(stop - start, config.target or 0, dtype=np.int64)
+    uniforms = np.empty((stop - start, steps))
+    for row, rng in enumerate(map(_TrialStreams(config.seed), range(start, stop))):
+        if config.target is None:
+            truth[row] = rng.integers(1, config.n_bins + 1)
+        uniforms[row] = rng.random(steps)
+    return truth, uniforms
 
 
 def _count_trials(
@@ -379,77 +388,62 @@ def _count_trials(
     """Counts over trials ``start..stop-1``: errors at each checkpoint (or of
     the final estimate, without checkpoints) and the sum of stopping times.
 
-    A batched run goes to :func:`._batch.run_batch`.  Otherwise each trial
-    is a scalar :func:`_run` on its ``trial_rng`` stream, set on one kept
-    Philox (:class:`_TrialStreams`), with its uniforms drawn in blocks
-    (:func:`_uniform_blocks`); the counts are those of :func:`run_episode`
+    The trials run in units, each filling its targets and estimates for one
+    reduction: the lockstep batches of a batched run (:func:`_draw_trials`,
+    :func:`._batch.run_batch`), or else scalar :func:`_run` trials on kept
+    streams (:class:`_TrialStreams`).  The counts are :func:`run_episode`'s
     on the same streams."""
     errors = np.zeros(len(checkpoints) if checkpoints else 1, dtype=np.int64)
-    batches = _lockstep_batches(config, stop - start)
-    if batches:
-        from ._batch import run_batch  # imported only by the runs that use it
-
-        edges = np.linspace(start, stop, batches + 1, dtype=int).tolist()
-        for a, b in zip(edges[:-1], edges[1:]):
-            truth, estimates = run_batch(config, checkpoints, a, b)
-            errors += np.count_nonzero(estimates != truth[:, None], axis=0)
-        return errors, (stop - start) * config.stopping.n
+    batched = _lockstep_batches(config, stop - start)
+    # a scalar unit's estimates hold at most _BATCH_CELLS cells, as a batch's arrays do
+    units = batched or -(-(stop - start) // max(1, _BATCH_CELLS // errors.size))
     tau_sum = 0
-    streams = _TrialStreams(config.seed)
-    for i in range(start, stop):
-        rng = streams(i)
-        rec, _ = _run(config, rng, False, checkpoints, _uniform_blocks(rng))
-        estimates = rec.checkpoint_estimates if checkpoints else (rec.estimate,)
-        for k, est in enumerate(estimates):
-            errors[k] += est != rec.truth
-        tau_sum += rec.tau
+    edges = np.linspace(start, stop, units + 1, dtype=int).tolist()
+    for a, b in zip(edges[:-1], edges[1:]):
+        if batched:
+            truth, uniforms = _draw_trials(config, a, b)
+            estimates = _batch.run_batch(config, checkpoints, truth, uniforms)
+            tau_sum += (b - a) * config.stopping.n
+        else:
+            truth = np.empty(b - a, dtype=np.int64)
+            estimates = np.empty((b - a, errors.size), dtype=np.int64)
+            for row, rng in enumerate(map(_TrialStreams(config.seed), range(a, b))):
+                rec, _ = _run(config, rng, False, checkpoints, _uniform_blocks(rng))
+                truth[row] = rec.truth
+                estimates[row] = rec.checkpoint_estimates or rec.estimate
+                tau_sum += rec.tau
+        errors += np.count_nonzero(estimates != truth[:, None], axis=0)
     return errors, tau_sum
 
 
 def _map_trials(
     config: SearchConfig, checkpoints: Optional[tuple[int, ...]], trials: int, workers: int
 ) -> tuple[np.ndarray, int]:
-    """:func:`_count_trials` over all trials, chunked on at most ``workers``
-    and at most ``os.cpu_count()`` processes; the integer counts do not
-    depend on the chunking.  A batched run starts one process per lockstep
-    batch at most, each with a whole number of batches, since a batch's
-    time grows little with its rows.  Any other run is cut into four chunks
-    per process, or one chunk per trial when it has fewer, and starts one
-    process per chunk at most.  A run of one batch or one chunk stays in
+    """:func:`_count_trials` over all trials, on at most ``workers`` and
+    ``os.cpu_count()`` processes; the integer counts do not depend on the
+    chunking.  The run's units, its lockstep batches or else single trials,
+    are cut into at most four chunks per process, so a batch keeps its rows.
+    A run starts one process per chunk at most; a run of one chunk stays in
     the calling process."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    batches = _lockstep_batches(config, trials)
-    chunks = batches or min(workers * 4, trials)
+    units = _lockstep_batches(config, trials) or trials
+    chunks = min(4 * workers, units)
     workers = min(workers, chunks)
     if workers <= 1:
         return _count_trials(config, checkpoints, 0, trials)
-    if batches:
-        from . import _batch  # noqa: F401  loaded before the pool forks its workers
-
-        # chunk edges on batch edges, so that every chunk's batches keep their rows
-        starts = np.linspace(0, trials, batches + 1, dtype=int)
-        edges = starts[np.linspace(0, batches, workers + 1, dtype=int)].tolist()
-    else:
-        edges = np.linspace(0, trials, chunks + 1, dtype=int).tolist()
+    unit_starts = np.linspace(0, trials, units + 1, dtype=int)
+    edges = unit_starts[np.linspace(0, units, chunks + 1, dtype=int)].tolist()
     from concurrent.futures import ProcessPoolExecutor  # only runs that start a pool pay for it
 
-    errors = 0
-    tau_sum = 0
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_count_trials, config, checkpoints, a, b)
-            for a, b in zip(edges[:-1], edges[1:])
-            if b > a
-        ]
-        for fut in futures:
-            e, ts = fut.result()
-            errors += e
-            tau_sum += ts
-    return errors, tau_sum
+        futures = [pool.submit(_count_trials, config, checkpoints, a, b)
+                   for a, b in zip(edges[:-1], edges[1:])]
+        counts = [fut.result() for fut in futures]
+    return sum(e for e, _ in counts), sum(ts for _, ts in counts)
 
 
 def _summarize(config: SearchConfig, trials: int, errors: int, tau_sum: float) -> MonteCarloSummary:

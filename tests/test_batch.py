@@ -54,15 +54,15 @@ def assert_rows_match(cfg, start: int, sizes: tuple, horizon: bool = False) -> N
     cps = checkpoints(cfg.stopping.n)
     edges = np.cumsum((start,) + sizes).tolist()
     for a, b in zip(edges[:-1], edges[1:]):
-        truth, at_cps = _batch.run_batch(cfg, cps, a, b)
+        truth, uniforms = sim._draw_trials(cfg, a, b)
+        at_cps = _batch.run_batch(cfg, cps, truth, uniforms)
         for row, i in enumerate(range(a, b)):
             rec, _ = sim._run(cfg, trial_rng(cfg.seed, i), False, cps)
             assert truth[row] == rec.truth, i
             assert tuple(at_cps[row]) == rec.checkpoint_estimates, i
             assert at_cps[row, -1] == rec.estimate, i
         if horizon:
-            truth_h, at_horizon = _batch.run_batch(cfg, None, a, b)
-            assert np.array_equal(truth_h, truth)
+            at_horizon = _batch.run_batch(cfg, None, truth, uniforms)
             assert np.array_equal(at_horizon[:, 0], at_cps[:, -1])
 
 
@@ -105,7 +105,7 @@ def test_every_step_equals_scalar_partition(kind, L, profile, monkeypatch):
                                                   batch.cums, batch.k)) + (batch.w,))
 
     monkeypatch.setattr(_batch._Batch, "update", record_batch)
-    _batch.run_batch(cfg, None, 0, rows)
+    _batch.run_batch(cfg, None, *sim._draw_trials(cfg, 0, rows))
     assert len(batched) == 40
     for t, (s1, s2, y, p, los, masses, cums, k, w) in enumerate(batched):
         assert w == k.max()
@@ -173,7 +173,7 @@ def test_every_step_equals_scalar_runs(case, monkeypatch):
 
     monkeypatch.setattr(_batch._RunBatch, "select", record_batch_select)
     monkeypatch.setattr(_batch._RunBatch, "update", record_batch)
-    _batch.run_batch(cfg, None, start, start + rows)
+    _batch.run_batch(cfg, None, *sim._draw_trials(cfg, start, start + rows))
     assert len(batched) == 60
     ties = no_cut = 0
     for t, (uncut, size, k0, flags, y, p, los, vals, k, w) in enumerate(batched):
@@ -211,7 +211,7 @@ def test_run_checks_fire(monkeypatch):
     monkeypatch.setattr(_batch._RunBatch, "update", update_and_grow)
     cfg = config(SORT, 10, PROFILES["affine"], 40)
     with pytest.raises(ContractViolationError, match="3 intervals after 1 queries, exceeding 2"):
-        _batch.run_batch(cfg, None, 0, 5)
+        _batch.run_batch(cfg, None, *sim._draw_trials(cfg, 0, 5))
 
 
 def test_crossing_count_adjustments():
@@ -262,7 +262,8 @@ def test_reads_equal_partition_reads(kind, monkeypatch):
         seen.append(batch)
 
     monkeypatch.setattr(_batch._Batch, "update", keep)
-    _batch.run_batch(config(kind, 12, PROFILES["affine"], 8), None, 0, 20)
+    cfg = config(kind, 12, PROFILES["affine"], 8)
+    _batch.run_batch(cfg, None, *sim._draw_trials(cfg, 0, 20))
     batch = seen[-1]
     parts = []
     for i in range(20):
@@ -397,19 +398,20 @@ def test_interval_count_check_fires(monkeypatch):
     monkeypatch.setattr(_batch._Batch, "cut", cut_and_split)
     cfg = config(StrategyKind.DYA_PM, 10, PROFILES["affine"], 40)
     with pytest.raises(ContractViolationError, match="4 intervals after 1 queries, exceeding 3"):
-        _batch.run_batch(cfg, None, 0, 5)
+        _batch.run_batch(cfg, None, *sim._draw_trials(cfg, 0, 5))
 
 
 @pytest.mark.parametrize("n", (1, 60))
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_batch_memory_within_cell_budget(kind, n):
     # the largest batch _count_trials builds, the most rows (n = 1) or the
-    # most cells per row, peaks below ten arrays of _BATCH_CELLS float64 cells
+    # most cells per row, drawn and run, peaks below ten arrays of
+    # _BATCH_CELLS float64 cells
     rows = min(sim._BATCH_MAX_ROWS, sim._BATCH_CELLS // row_width(kind, n))
     cfg = config(kind, 20, PROFILES["affine"], n)
     tracemalloc.start()
     try:
-        _batch.run_batch(cfg, tuple(range(1, n + 1)), 0, rows)
+        _batch.run_batch(cfg, tuple(range(1, n + 1)), *sim._draw_trials(cfg, 0, rows))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -111,6 +111,8 @@ class TestParsing:
              "--vl", "0.1", "--trials", "1", "--out", "x.csv"],  # converse 2.3e6 steps
             ["simulate", "--strategy", "hie", "--L", "8", "--noise", "affine:0.4999:0.0001",
              "--vl", "0.1", "--trials", "1", "--out", "x.csv"],  # converse 2.3e8 steps
+            ["simulate", "--strategy", "dya", "--L", "1", "--noise", "constant:0.4995",
+             "--vl", "0.1", "--trials", "4", "--out", "x.csv"],  # converse 5.97e5 steps
             *(["sweep", "--strategy", "dya", "--L", "6", "--noise", "affine:0.1:0.5",
                "--n", spec, "--out", "x.csv"]  # malformed budget specs
               for spec in ("1:2:3:4", "5:", "3,,4", "1.5")),

@@ -160,6 +160,18 @@ class TestDeterminism:
                     state.freeze().mass.tolist()
                 )
 
+    def test_scalar_units_give_the_counts_of_one(self, monkeypatch):
+        # 40 scalar trials at a cell budget of 7 estimates per checkpoint:
+        # six units, each counted on its own
+        for stopping, cps in ((VariableLength(0.2), None), (FixedLength(30), (4, 11, 30))):
+            cfg = config(L=8, strategy=StrategyKind.DYA_PM, stopping=stopping, seed=17)
+            whole, whole_tau = sim._count_trials(cfg, cps, 5, 45)
+            with monkeypatch.context() as m:
+                m.setattr(sim, "_BATCH_CELLS", 7 * len(cps or (0,)))
+                units, units_tau = sim._count_trials(cfg, cps, 5, 45)
+            assert whole.any()
+            assert units.tolist() == whole.tolist() and units_tau == whole_tau
+
     def test_monte_carlo_worker_invariance(self):
         cfg = config(strategy=StrategyKind.DYA_PM, L=7, seed=12)
         s1 = run_monte_carlo(cfg, 60, workers=1)
@@ -250,9 +262,9 @@ class TestProcessPolicy:
         rows = []
         run_batch = _batch.run_batch
 
-        def counted(config, checkpoints, start, stop):
-            rows.append(stop - start)
-            return run_batch(config, checkpoints, start, stop)
+        def counted(config, checkpoints, truth, uniforms):
+            rows.append(truth.size)
+            return run_batch(config, checkpoints, truth, uniforms)
 
         monkeypatch.setattr(_batch, "run_batch", counted)
         cfg = config(L=12, strategy=StrategyKind.MEDIAN_PM, stopping=FixedLength(300), seed=3)
@@ -262,6 +274,26 @@ class TestProcessPolicy:
         )
         assert inline_pool == [2]
         assert rows == [108, 108] * 2
+
+    @pytest.mark.parametrize("trials", (3000, 20_000))
+    def test_chunks_hold_whole_batches(self, trials, inline_pool, monkeypatch):
+        # one step at L = 8 allows 1024 rows a batch: 3 or 20 batches of 1000
+        # rows, more than the two processes; a chunk of whole batches cuts
+        # them again into batches of 1000 rows
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        rows = []
+        run_batch = _batch.run_batch
+
+        def counted(config, checkpoints, truth, uniforms):
+            rows.append(truth.size)
+            return run_batch(config, checkpoints, truth, uniforms)
+
+        monkeypatch.setattr(_batch, "run_batch", counted)
+        cfg = config(L=8, strategy=StrategyKind.DYA_PM, stopping=FixedLength(1), seed=3)
+        assert sim._lockstep_batches(cfg, trials) == trials // 1000
+        assert run_monte_carlo(cfg, trials, workers=2) == run_monte_carlo(cfg, trials)
+        assert inline_pool == [2]
+        assert len(rows) == 2 * trials // 1000 and min(rows) >= sim._BATCH_MIN_ROWS
 
 
 class TestEngineMatchesPublicApi:
