@@ -15,11 +15,12 @@ which adds in sequence like the scalar loops; a pairwise ``np.sum`` would not.
 Interval ends are exact integers; the divisions that turn them into
 fractions convert them to float64, which is exact for ``L <= 53``.
 
-Both kinds of row live in one store, :class:`_Rows`: each row's part
-starts in ``los``, padded to the width :func:`_row_width` gives, one
-flat offset per row and one column-insert routine, :meth:`_Rows._open`,
-that both kinds of cut call.  :class:`_Batch` adds the interval masses and prefix sums,
-:class:`_RunBatch` the run values.
+Both kinds of row live in one store, :class:`_Rows`: each row's parts in
+``los``, in the scalar kernels' layout (see :mod:`posterior`), padded to
+the width :func:`_row_width` gives, one flat offset per row and one
+column-insert routine, :meth:`_Rows._open`, that both kinds of cut call.
+:class:`_Batch` adds the interval masses and prefix sums, :class:`_RunBatch`
+the run values.
 
 A fixed-length trial takes exactly ``n`` steps, so no row idles, and row
 ``r`` reads its ``n`` uniforms from row ``r`` of a ``(rows, n)`` array.
@@ -47,7 +48,8 @@ class _Rows:
     parts (intervals or runs) of one trial's posterior in its first
     ``k[r]`` columns, and the rest pad, with start ``n + 1``.
 
-    Part ``j`` ends at ``los[r, j + 1] - 1``, so ``los`` keeps one pad
+    ``los[r, :k[r] + 1]`` is the scalar kernel's ``los`` (the layout the
+    :mod:`posterior` module docstring states), so ``los`` keeps one pad
     column past the widest row.  ``w`` is the widest row's part count; only
     the first ``w`` (``w + 1`` for ``los``) columns are read.  A subclass's
     per-part arrays, and the flags :meth:`_RunBatch.select` returns, share

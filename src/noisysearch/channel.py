@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -106,7 +107,7 @@ def eval_noise(profile: NoiseProfile, size_fraction: float) -> float:
     """
     if not (0.0 <= size_fraction <= 0.5):
         raise ValueError(f"size_fraction must be in [0, 0.5], got {size_fraction}")
-    return _noise_function(profile)(size_fraction)
+    return _crossover(*_coefficients(profile), profile.p_floor, size_fraction)
 
 
 def _coefficients(profile: NoiseProfile) -> tuple[float, float]:
@@ -127,21 +128,21 @@ def noise_for_size(profile: NoiseProfile, size_fraction: float) -> float:
     return eval_noise(profile, min(size_fraction, 0.5))
 
 
+def _crossover(a: float, b: float, floor: float, x: float) -> float:
+    """The clamped crossover ``a + b*min(x, 1/2)`` of a query fraction ``x``
+    in [0, 1], with no range check: the scalar formula every profile uses."""
+    # min(x, 1/2), max(., floor) and min(., ceiling), each keeping its
+    # first argument on a tie, as the builtins do
+    p = a + b * (0.5 if x > 0.5 else x)
+    p = floor if floor > p else p
+    return P_CEILING if P_CEILING < p else p
+
+
 def _noise_function(profile: NoiseProfile) -> Callable[[float], float]:
     """:func:`noise_for_size` of ``profile`` as a function of one query
     fraction in [0, 1]: the same floats, with no range check and one call.
     The episode engine builds it once per episode."""
-    a, b = _coefficients(profile)
-    floor, ceiling = profile.p_floor, P_CEILING
-
-    def noise(x: float) -> float:
-        # min(x, 1/2), max(., floor) and min(., ceiling), each keeping its
-        # first argument on a tie, as the builtins do
-        p = a + b * (0.5 if x > 0.5 else x)
-        p = floor if floor > p else p
-        return ceiling if ceiling < p else p
-
-    return noise
+    return partial(_crossover, *_coefficients(profile), profile.p_floor)
 
 
 def _noise_for_sizes(profile: NoiseProfile, fractions: np.ndarray) -> np.ndarray:

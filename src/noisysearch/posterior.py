@@ -24,7 +24,9 @@ steps there are at most ``t + 1`` runs, and the engine never holds the
 ``n``-entry vector.  :func:`select_sort_pm` runs the kernel on the
 run-length encoding of the vector, and :func:`bayes_update_dense` does the
 kernel's float operations on it in numpy, so both agree with the engine bit
-for bit.
+for bit.  Both kernels, and the lockstep rows of :mod:`noisysearch._batch`,
+hold their parts (intervals or runs) in one layout: ``los`` lists the parts'
+first bins and then ``n + 1``, so part ``j`` is ``los[j] .. los[j + 1] - 1``.
 
 Bins are indexed 1..n throughout the public API; intervals are inclusive
 ``(lo, hi)`` pairs.
@@ -310,45 +312,41 @@ def _run_heads(mass: np.ndarray, member: Optional[np.ndarray] = None) -> np.ndar
 class _Partition:
     """Mutable list form of an interval partition: the per-step kernel.
 
-    ``los``/``his``/``masses`` hold the intervals as in
-    :class:`PosteriorPartition`, and ``cums`` their running prefix sums.
+    ``los`` holds the intervals in the module's layout, ``masses`` their
+    masses and ``cums`` their running prefix sums.
     Plain lists and ``bisect`` beat numpy at the sizes an episode reaches
     (at most ``2t + 1`` intervals after ``t`` queries).  The read-only view
     of a dense vector (:func:`_prefix_index`) holds ranges and arrays instead.
     """
 
-    __slots__ = ("los", "his", "masses", "cums", "n")
+    __slots__ = ("los", "masses", "cums", "n")
 
-    def __init__(self, los: Sequence, his: Sequence, masses: Sequence, cums: Sequence):
+    def __init__(self, los: Sequence, masses: Sequence, cums: Sequence):
         self.los = los
-        self.his = his
         self.masses = masses
         self.cums = cums
-        self.n = his[-1]
+        self.n = los[-1] - 1
 
     @classmethod
     def uniform(cls, n_bins: int) -> "_Partition":
-        return cls([1], [n_bins], [1.0], [1.0])
+        return cls([1, n_bins + 1], [1.0], [1.0])
 
     @classmethod
     def of(cls, post: PosteriorPartition) -> "_Partition":
         masses = post.mass.tolist()
-        return cls(post.lo.tolist(), post.hi.tolist(), masses, list(accumulate(masses)))
+        return cls(post.lo.tolist() + [post.n_bins + 1], masses, list(accumulate(masses)))
 
     def __len__(self) -> int:
-        return len(self.los)
+        return len(self.los) - 1
 
     def freeze(self) -> PosteriorPartition:
-        return PosteriorPartition._wrap(
-            np.array(self.los, dtype=np.int64),
-            np.array(self.his, dtype=np.int64),
-            np.array(self.masses),
-        )
+        los = np.array(self.los, dtype=np.int64)
+        return PosteriorPartition._wrap(los[:-1], los[1:] - 1, np.array(self.masses))
 
     def cut(self, b: int) -> int:
-        """Split so that some interval starts at bin ``b``; no-op if one already does.
-        Returns that interval's index: 0 for ``b <= 1``, the interval count
-        for ``b > n``.
+        """Split so that some interval starts at bin ``b <= n + 1``; no-op if one
+        already does.  Returns that interval's index: 0 for ``b <= 1``, the
+        interval count for ``b = n + 1``.
 
         The straddling interval's mass is divided proportionally to the
         sub-interval widths.  Degenerate cuts at the ends of the range are
@@ -358,18 +356,15 @@ class _Partition:
         los = self.los
         if b <= los[0]:
             return 0
-        if b > self.n:
-            return len(los)
         j = bisect_right(los, b) - 1
         lo = los[j]
         if lo == b:
             return j
-        hi = self.his[j]
-        width = hi - lo + 1
+        end = los[j + 1]
+        width = end - lo
         m = self.masses[j]
         los.insert(j + 1, b)
-        self.his.insert(j, b - 1)
-        self.masses[j : j + 1] = [m * ((b - lo) / width), m * ((hi - b + 1) / width)]
+        self.masses[j : j + 1] = [m * ((b - lo) / width), m * ((end - b) / width)]
         return j + 1
 
     def update(self, s1: int, s2: int, y: int, p: float) -> None:
@@ -404,15 +399,16 @@ class _Partition:
         """Total mass of bins 1..k (0 for k <= 0)."""
         if k <= 0:
             return 0.0
-        return self.prefix_in(bisect_left(self.his, k), k)
+        return self.prefix_in(bisect_right(self.los, k) - 1, k)
 
     def prefix_in(self, j: int, k: int) -> float:
         """:meth:`prefix` at a bin ``k`` of interval ``j``, without the search."""
-        if k == self.his[j]:
+        end = self.los[j + 1]
+        if k == end - 1:
             return self.cums[j]
         before = self.cums[j - 1] if j > 0 else 0.0
         lo = self.los[j]
-        width = self.his[j] - lo + 1
+        width = end - lo
         return before + self.masses[j] * ((k - lo + 1) / width)
 
     def first_reaching(self, target: float) -> tuple[int, int]:
@@ -425,7 +421,7 @@ class _Partition:
         before = cums[j - 1] if j > 0 else 0.0
         mass = self.masses[j]
         lo = self.los[j]
-        width = self.his[j] - lo + 1
+        width = self.los[j + 1] - lo
         if mass <= 0.0:
             return lo, j
         count = math.ceil((target - before) * width / mass)
@@ -439,8 +435,8 @@ class _Partition:
     def peak(self) -> tuple[float, int]:
         """(max single-bin mass, 1-based bin index of its first occurrence)."""
         best, best_lo = -1.0, 1
-        for lo, hi, m in zip(self.los, self.his, self.masses):
-            d = m / (hi - lo + 1)
+        for lo, end, m in zip(self.los, self.los[1:], self.masses):
+            d = m / (end - lo)
             if d > best:
                 best, best_lo = d, lo
         return best, best_lo
@@ -449,22 +445,21 @@ class _Partition:
 class _Runs:
     """Maximal runs of equal per-bin value: the sorted-matching kernel.
 
-    ``vals[u]`` is the value of each bin in ``los[u]..his[u]``, and adjacent
-    runs never hold the same value, so the runs are exactly the run-length
-    encoding of the dense vector.
+    ``los`` holds the runs in the module's layout, and ``vals[u]`` is the
+    value of each bin of run ``u``.  Adjacent runs never hold the same
+    value, so the runs are exactly the run-length encoding of the vector.
     """
 
-    __slots__ = ("los", "his", "vals", "n")
+    __slots__ = ("los", "vals", "n")
 
-    def __init__(self, los: list, his: list, vals: list):
+    def __init__(self, los: list, vals: list):
         self.los = los
-        self.his = his
         self.vals = vals
-        self.n = his[-1]
+        self.n = los[-1] - 1
 
     @classmethod
     def uniform(cls, n_bins: int) -> "_Runs":
-        return cls([1], [n_bins], [1.0 / n_bins])
+        return cls([1, n_bins + 1], [1.0 / n_bins])
 
     @classmethod
     def of(
@@ -474,15 +469,14 @@ class _Runs:
         the runs are also cut where it changes, and each run's membership is
         returned alongside."""
         heads = _run_heads(mass, member)
-        runs = cls((heads + 1).tolist(), heads[1:].tolist() + [mass.size], mass[heads].tolist())
+        runs = cls((heads + 1).tolist() + [mass.size + 1], mass[heads].tolist())
         return runs, None if member is None else member[heads].tolist()
 
     def __len__(self) -> int:
-        return len(self.los)
+        return len(self.los) - 1
 
     def expand(self) -> np.ndarray:
-        widths = np.array(self.his) - np.array(self.los) + 1
-        return np.repeat(np.array(self.vals), widths)
+        return np.repeat(np.array(self.vals), np.diff(self.los))
 
     def freeze(self) -> PosteriorDense:
         return PosteriorDense._wrap(self.expand())
@@ -496,14 +490,14 @@ class _Runs:
         smaller count; the run is cut there, so the query is a union of whole
         runs.  At most one run is cut.
         """
-        los, his, vals = self.los, self.his, self.vals
+        los, vals = self.los, self.vals
         order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)  # stable
         flags = [False] * len(vals)
         taken = 0.0
         size = 0
         for i in order:
             v = vals[i]
-            w = his[i] - los[i] + 1
+            w = los[i + 1] - los[i]
             if taken + v * w >= 0.5:
                 break
             taken += v * w
@@ -524,7 +518,6 @@ class _Runs:
             flags[i] = True
         elif j > 0:
             los.insert(i + 1, los[i] + j)
-            his.insert(i, los[i] + j - 1)
             vals.insert(i, v)
             flags[i:i] = [True]
         return flags, size + j
@@ -538,24 +531,22 @@ class _Runs:
         """
         in_lik, out_lik = _likelihoods(y, p)
         new = [v * (in_lik if f else out_lik) for v, f in zip(self.vals, flags)]
+        los = self.los
         total = 0.0
-        for v, lo, hi in zip(new, self.los, self.his):
-            total += v * (hi - lo + 1)
+        for v, lo, end in zip(new, los, los[1:]):
+            total += v * (end - lo)
         if total <= 0.0:
             raise ZeroLikelihoodError("all posterior mass has zero likelihood")
         new = [v / total for v in new]
         if not any(map(operator.eq, new, new[1:])):
             self.vals = new
             return
-        los, his, vals = [], [], []
-        for lo, hi, v in zip(self.los, self.his, new):
-            if vals and vals[-1] == v:
-                his[-1] = hi
-            else:
-                los.append(lo)
-                his.append(hi)
+        starts, vals = [], []  # the first run of each group of equal values
+        for lo, v in zip(los, new):
+            if not vals or vals[-1] != v:
+                starts.append(lo)
                 vals.append(v)
-        self.los, self.his, self.vals = los, his, vals
+        self.los, self.vals = starts + [self.n + 1], vals
 
     def peak_bound(self) -> float:
         """:meth:`peak`'s mass itself, without the search for its index."""
@@ -569,13 +560,13 @@ class _Runs:
     def query_runs(self, flags: Sequence) -> tuple[tuple[int, int], ...]:
         """The flagged runs as sorted, non-adjacent ``(lo, hi)`` pairs."""
         out: list[list[int]] = []
-        for lo, hi, f in zip(self.los, self.his, flags):
+        for lo, end, f in zip(self.los, self.los[1:], flags):
             if not f:
                 continue
             if out and out[-1][1] == lo - 1:
-                out[-1][1] = hi
+                out[-1][1] = end - 1
             else:
-                out.append([lo, hi])
+                out.append([lo, end - 1])
         return tuple((lo, hi) for lo, hi in out)
 
 
@@ -583,8 +574,8 @@ def _prefix_index(post: Posterior) -> _Partition:
     """Kernel view of either representation; a dense vector is a partition
     into unit-width intervals."""
     if isinstance(post, PosteriorDense):
-        bins = range(1, post.n_bins + 1)  # immutable: the view cannot be cut
-        return _Partition(bins, bins, post.mass, np.cumsum(post.mass))
+        bins = range(1, post.n_bins + 2)  # immutable: the view cannot be cut
+        return _Partition(bins, post.mass, np.cumsum(post.mass))
     return _Partition.of(post)
 
 

@@ -266,7 +266,7 @@ def _run(
             p = noise(frac)
             y = (s1 <= truth <= s2) ^ (next_uniform() < p)
             state.update(s1, s2, y, p)
-        k = len(state.los)
+        k = len(state.los) - 1
         if k > cuts_per_step * tau + 1:
             raise ContractViolationError(
                 f"posterior has {k} intervals after {tau} queries, "

@@ -118,7 +118,7 @@ def _best_prefix_end(idx, start: int, base: float) -> int:
         if start <= k <= idx.n:
             # the interval that holds k, so d is exactly prefix(k)'s; j alone
             # gives the same float at k0 - 1 but not at k0 + 1 past j's end
-            i = j - (k < idx.los[j]) + (k > idx.his[j])
+            i = j - (k < idx.los[j]) + (k >= idx.los[j + 1])
             d = abs(idx.prefix_in(i, k) - base - 0.5)
             if d < best_d:
                 best_k, best_d = k, d

@@ -80,8 +80,9 @@ def test_rows_equal_scalar_episodes(kind, L, profile):
 @pytest.mark.parametrize("kind", CONNECTED, ids=lambda k: k.value)
 def test_every_step_equals_scalar_partition(kind, L, profile, monkeypatch):
     # after every update, each row holds the query, answer, crossover and
-    # interval starts, masses and prefix sums of the scalar _Partition, and
-    # pads up to the widest row hold start n + 1, mass 0 and the row's total
+    # interval starts (with the end n + 1), masses and prefix sums of the
+    # scalar _Partition, and pads up to the widest row hold start n + 1,
+    # mass 0 and the row's total
     cfg = config(kind, L, profile, 40, seed=9)
     rows, n = 20, cfg.n_bins
     scalar = []  # per trial, per step
@@ -111,7 +112,7 @@ def test_every_step_equals_scalar_partition(kind, L, profile, monkeypatch):
         assert w == k.max()
         for i in range(rows):
             j = k[i]
-            got = (s1[i], s2[i], bool(y[i]), p[i], los[i, :j].tolist(),
+            got = (s1[i], s2[i], bool(y[i]), p[i], los[i, : j + 1].tolist(),
                    masses[i, :j].tolist(), cums[i, :j].tolist())
             assert got == scalar[i][t], (t, i)
             assert (los[i, j : w + 1] == n + 1).all(), (t, i)
@@ -133,8 +134,8 @@ SORT_STEP_CASES = {
 @pytest.mark.parametrize("case", SORT_STEP_CASES)
 def test_every_step_equals_scalar_runs(case, monkeypatch):
     # after every update, each row holds the query size, flags, answer,
-    # crossover, run starts and values of the scalar _Runs, and pads up to
-    # the widest row hold start n + 1 and value 0
+    # crossover, run starts (with the end n + 1) and values of the scalar
+    # _Runs, and pads up to the widest row hold start n + 1 and value 0
     profile, L, seed, start, rows = SORT_STEP_CASES[case]
     cfg = config(SORT, L, profile, 60, seed=seed)
     n = cfg.n_bins
@@ -148,7 +149,7 @@ def test_every_step_equals_scalar_runs(case, monkeypatch):
 
     def record(state, flags, y, p):
         update(state, flags, y, p)
-        scalar[-1][-1] += [list(flags), bool(y), p, state.los[:], state.his[:], state.vals[:]]
+        scalar[-1][-1] += [list(flags), bool(y), p, state.los[:], state.vals[:]]
 
     monkeypatch.setattr(_Runs, "select", record_select)
     monkeypatch.setattr(_Runs, "update", record)
@@ -181,9 +182,8 @@ def test_every_step_equals_scalar_runs(case, monkeypatch):
         no_cut += uncut
         for i in range(rows):
             j = k[i]
-            his = (los[i, 1 : j + 1] - 1).tolist()
-            got = [size[i], flags[i, : k0[i]].tolist(), bool(y[i]), p[i], los[i, :j].tolist(),
-                   his, vals[i, :j].tolist()]
+            got = [size[i], flags[i, : k0[i]].tolist(), bool(y[i]), p[i],
+                   los[i, : j + 1].tolist(), vals[i, :j].tolist()]
             assert got == scalar[i][t], (t, i)
             assert (los[i, j : w + 1] == n + 1).all(), (t, i)
             assert (vals[i, j:w] == 0.0).all(), (t, i)
@@ -239,12 +239,12 @@ def test_crossing_count_adjustments():
     batch.w = 3
     flags, size = batch.select()
     for row, (a, v, w) in enumerate(cases):
-        runs = _Runs([1, 2, w + 2], [1, w + 1, n], [a, v, 1e-9])
+        runs = _Runs([1, 2, w + 2, n + 1], [a, v, 1e-9])
         want_flags, want_size = runs.select()
         k = batch.k[row]
         assert size[row] == want_size, row
         assert flags[row, :k].tolist() == want_flags, row
-        assert batch.los[row, :k].tolist() == runs.los, row
+        assert batch.los[row, : k + 1].tolist() == runs.los, row
         assert batch.vals[row, :k].tolist() == runs.vals, row
 
 
@@ -268,12 +268,11 @@ def test_reads_equal_partition_reads(kind, monkeypatch):
     parts = []
     for i in range(20):
         j = batch.k[i]
-        his = (batch.los[i, 1 : j + 1] - 1).tolist()
-        parts.append(_Partition(batch.los[i, :j].tolist(), his, batch.masses[i, :j].tolist(),
+        parts.append(_Partition(batch.los[i, : j + 1].tolist(), batch.masses[i, :j].tolist(),
                                 batch.cums[i, :j].tolist()))
     for i, part in enumerate(parts):
-        bins = sorted({0} | {b for lo, hi in zip(part.los, part.his)
-                             for b in (lo, (lo + hi) // 2, hi)})
+        bins = sorted({0} | {b for lo, end in zip(part.los, part.los[1:])
+                             for b in (lo, (lo + end - 1) // 2, end - 1)})
         got = batch.prefix(np.full(len(bins), i), np.array(bins))
         assert got.tolist() == [part.prefix(b) for b in bins], i
     for c in range(batch.w):
@@ -307,7 +306,7 @@ def test_hie_choice_on_ties():
     batch.w = 3
     for row, masses in enumerate(cases):
         cums = np.cumsum(masses)
-        part = _Partition([1, 3, 5], [2, 4, 8], list(masses), cums.tolist())
+        part = _Partition([1, 3, 5, 9], list(masses), cums.tolist())
         assert strategies._run_for(StrategyKind.HIE_PM, part, 3)[:2] == cases[masses]
         batch.masses[row, :3] = masses
         batch.cums[row, :3] = cums

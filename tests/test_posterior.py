@@ -210,9 +210,50 @@ class TestPartitionUpdate:
         assert part.cut(4) == 1  # an existing start
         assert len(part) == 2  # none of these split
         assert part.cut(6) == 2  # a split of [4, 8] into [4, 5] and [6, 8]
-        assert list(zip(part.los, part.his)) == [(1, 3), (4, 5), (6, 8)]
+        assert part.los == [1, 4, 6, 9]  # [1, 3], [4, 5] and [6, 8]
         assert part.masses == [0.25, 0.75 * (2 / 5), 0.75 * (3 / 5)]
         assert part.cut(9) == 3
+
+
+class TestKernelLayout:
+    """Both kernels hold their part starts followed by ``n + 1``; building a
+    kernel from the public form and freezing or expanding it gives that form
+    back exactly."""
+
+    @staticmethod
+    def cases(L):
+        """``(n, starts, values)``: one part, ``n`` unit parts and six random
+        part counts, each with random starts and values."""
+        n = 1 << L
+        rng = np.random.default_rng(L)
+        for k in [1, n] + rng.integers(2, n, size=6).tolist():
+            others = np.sort(rng.choice(np.arange(2, n + 1), k - 1, replace=False))
+            yield n, np.concatenate(([1], others)), rng.random(k)
+
+    @staticmethod
+    def assert_layout(los, n, k):
+        assert len(los) == k + 1 and los[0] == 1 and los[-1] == n + 1
+        assert all(a < b for a, b in zip(los, los[1:]))
+
+    @pytest.mark.parametrize("L", (6, 12))
+    def test_partition_of_then_freeze(self, L):
+        for n, starts, values in self.cases(L):
+            post = PosteriorPartition(starts, np.append(starts[1:] - 1, n), values / values.sum())
+            part = _Partition.of(post)
+            self.assert_layout(part.los, n, starts.size)
+            back = part.freeze()
+            for got, want in ((back.lo, post.lo), (back.hi, post.hi), (back.mass, post.mass)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("L", (6, 12))
+    def test_runs_of_then_expand(self, L):
+        for n, starts, values in self.cases(L):
+            mass = np.repeat(values, np.diff(np.append(starts, n + 1)))
+            runs, _ = _Runs.of(mass)
+            self.assert_layout(runs.los, n, starts.size)
+            assert runs.los[:-1] == starts.tolist()
+            back = runs.expand()
+            assert back.dtype == mass.dtype and np.array_equal(back, mass)
 
 
 class TestOracleEquivalence:

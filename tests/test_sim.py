@@ -409,8 +409,8 @@ class TestGatedPeakScan:
 
         def update_and_split(self, *args):
             update(self, *args)
-            j = max(range(len(self)), key=lambda u: self.his[u] - self.los[u])
-            self.cut((self.los[j] + self.his[j] + 1) // 2)  # one interval more
+            j = max(range(len(self)), key=lambda u: self.los[u + 1] - self.los[u])
+            self.cut((self.los[j] + self.los[j + 1]) // 2)  # one interval more
             self.cums = list(accumulate(self.masses))
 
         monkeypatch.setattr(sim._Partition, "update", update_and_split)
@@ -475,13 +475,13 @@ class TestWarmStartDescent:
         heavy = 0.5 + strategies._HEAVY_MARGIN / 2
         assert 0.5 < heavy < 0.5 + strategies._HEAVY_MARGIN
         masses = [heavy, 0.0, 1.0 - heavy]
-        part = _Partition([1, 2, 5], [1, 4, 8], masses, list(accumulate(masses)))
+        part = _Partition([1, 2, 5, 9], masses, list(accumulate(masses)))
         assert self.every_start(part, 3)[:2] == (3, 0)
 
     def test_fork_reached_from_a_start_node(self):
         # node (1, 0) splits exactly in half: bins 2 and 3 weigh 1/2 each
         masses = [0.0, 0.5, 0.5, 0.0]
-        part = _Partition([1, 2, 3, 4], [1, 2, 3, 8], masses, list(accumulate(masses)))
+        part = _Partition([1, 2, 3, 4, 9], masses, list(accumulate(masses)))
         assert self.every_start(part, 3) == (3, 1, 0.0, None, 0.5)
 
 

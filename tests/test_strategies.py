@@ -206,7 +206,7 @@ class TestSortPMKernel:
             y = sample_observation(AFFINE, member, size / n, rng)
             runs.update(flags, y, noise_for_size(AFFINE, size / n))
             encoded, _ = _Runs.of(runs.expand())
-            assert (encoded.los, encoded.his, encoded.vals) == (runs.los, runs.his, runs.vals)
+            assert (encoded.los, encoded.vals) == (runs.los, runs.vals)
             assert len(runs) <= t + 1
 
 
@@ -229,29 +229,28 @@ class TestSortPMKernel:
                     expected = rebuilt_update(runs, flags, y, p)
                     k = len(runs)
                     runs.update(flags, y, p)
-                    assert (runs.los, runs.his, runs.vals) == expected
+                    assert (runs.los, runs.vals) == expected
                     paths["merged" if len(runs) < k else "kept"] += 1
         assert paths["kept"] and paths["merged"], paths
 
 
 def rebuilt_update(runs, flags, y, p):
     """``_Runs.update``'s runs as the loop that rebuilds every run computes
-    them: ``(los, his, vals)``."""
+    them: ``(los, vals)``, ``los`` ending at ``n + 1``."""
     in_lik, out_lik = (1.0 - p, p) if y else (p, 1.0 - p)
     new = [v * (in_lik if f else out_lik) for v, f in zip(runs.vals, flags)]
+    bounds = [(lo, end - 1) for lo, end in zip(runs.los, runs.los[1:])]
     total = 0.0
-    for v, lo, hi in zip(new, runs.los, runs.his):
+    for v, (lo, hi) in zip(new, bounds):
         total += v * (hi - lo + 1)
-    los, his, vals = [], [], []
-    for lo, hi, v in zip(runs.los, runs.his, new):
+    merged = []  # [lo, hi, value] of each rebuilt run
+    for (lo, hi), v in zip(bounds, new):
         v /= total
-        if vals and vals[-1] == v:
-            his[-1] = hi
+        if merged and merged[-1][2] == v:
+            merged[-1][1] = hi
         else:
-            los.append(lo)
-            his.append(hi)
-            vals.append(v)
-    return los, his, vals
+            merged.append([lo, hi, v])
+    return [lo for lo, _, _ in merged] + [merged[-1][1] + 1], [v for _, _, v in merged]
 
 
 class TestHeaviestNode:
