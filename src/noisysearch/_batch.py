@@ -19,7 +19,7 @@ Both kinds of row live in one store, :class:`_Rows`: each row's parts in
 ``los``, in the scalar kernels' layout (see :mod:`posterior`), padded to
 the width :func:`_row_width` gives, one flat offset per row and one
 column-insert routine, :meth:`_Rows._open`, that both kinds of cut call.
-:class:`_Batch` adds the interval masses and prefix sums, :class:`_RunBatch`
+:class:`_Batch` adds the interval masses and running sums, :class:`_RunBatch`
 the run values.
 
 A fixed-length trial takes exactly ``n`` steps, so no row idles, and row
@@ -51,10 +51,10 @@ class _Rows:
     ``los[r, :k[r] + 1]`` is the scalar kernel's ``los`` (the layout the
     :mod:`posterior` module docstring states), so ``los`` keeps one pad
     column past the widest row.  ``w`` is the widest row's part count; only
-    the first ``w`` (``w + 1`` for ``los``) columns are read.  A subclass's
-    per-part arrays, and the flags :meth:`_RunBatch.select` returns, share
-    ``los``'s shape, so one flat index, ``row0 + j``, reads column ``j`` of
-    each.
+    the first ``w`` (``w + 1`` for ``los`` and :class:`_Batch`'s running
+    sums, in the same layout) columns are read.  A subclass's per-part
+    arrays, and the flags :meth:`_RunBatch.select` returns, share ``los``'s
+    shape, so one flat index, ``row0 + j``, reads column ``j`` of each.
     """
 
     __slots__ = ("los", "k", "w", "n", "r", "cols", "row0")
@@ -88,8 +88,9 @@ class _Rows:
 
 
 class _Batch(_Rows):
-    """Rows of :class:`posterior._Partition` intervals: a pad has mass 0 and
-    prefix sum the row's total."""
+    """Rows of :class:`posterior._Partition` intervals, with their running
+    sums ``cums`` in ``los``'s columns (the layout :mod:`posterior` states):
+    a pad has mass 0 and running sum the row's total."""
 
     __slots__ = ("masses", "cums")
 
@@ -98,33 +99,29 @@ class _Batch(_Rows):
         self.masses = np.zeros((rows, self.cols))
         self.masses[:, 0] = 1.0
         self.cums = np.ones((rows, self.cols))
+        self.cums[:, 0] = 0.0
 
     def cut(self, b: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`_Partition.cut`: split so that an interval starts
-        at ``b[r]``, and return that interval's index (0 for ``b <= 1``, the
-        interval count for ``b > n``)."""
-        k = self.k
-        if (b <= 1).all():
+        """Row-wise :meth:`_Partition.cut` at bins ``1 <= b[r] <= n + 1``:
+        split so that an interval starts at ``b[r]``, and return that
+        interval's index (0 for ``b = 1``, the interval count for
+        ``b = n + 1``)."""
+        if (b <= 1).all():  # median's s1 on every step
             return np.zeros_like(b)
-        beyond = b > self.n
-        j = np.count_nonzero(self.los[:, : self.w] <= b[:, None], axis=1) - 1
-        j[beyond] = k[beyond] - 1
-        f = self.row0 + j
-        lo = self.los.take(f)
-        split = (lo != b) & ~beyond & (b > 1)
-        out = np.where(beyond, k, j + split)
+        # the first start at or after b; unless it is b, interval j - 1 splits
+        j = np.count_nonzero(self.los[:, : self.w + 1] < b[:, None], axis=1)
+        split = self.los.take(self.row0 + j) != b
         if not split.any():
-            return out
-        # interval j of a splitting row becomes j and j + 1
-        end = self.los.take(f + 1)  # hi + 1
+            return j
+        rows, i, b = self.r[split], j[split], b[split]
+        lo, end = self.los[rows, i - 1], self.los[rows, i]
         width = end - lo
-        m = self.masses.take(f)
-        self._open(split, j + 1, self.masses)
-        rows, j = self.r[split], j[split]
-        self.los[rows, j + 1] = b[split]
-        self.masses[rows, j] = (m * ((b - lo) / width))[split]
-        self.masses[rows, j + 1] = (m * ((end - b) / width))[split]
-        return out
+        m = self.masses[rows, i - 1]
+        self._open(split, j, self.masses)
+        self.los[rows, i] = b
+        self.masses[rows, i - 1] = m * ((b - lo) / width)
+        self.masses[rows, i] = m * ((end - b) / width)
+        return j
 
     def update(self, s1: np.ndarray, s2: np.ndarray, y: np.ndarray, p: np.ndarray) -> None:
         """Row-wise :meth:`_Partition.update` for the queries ``[s1, s2]``
@@ -141,14 +138,14 @@ class _Batch(_Rows):
         if (total <= 0.0).any():
             raise ZeroLikelihoodError("all posterior mass has zero likelihood")
         self.masses[:, :w] = masses = weighted / total[:, None]
-        self.cums[:, :w] = np.cumsum(masses, axis=1)
+        self.cums[:, 1 : w + 1] = np.cumsum(masses, axis=1)
 
     def prefix(self, rows, k: np.ndarray) -> np.ndarray:
         """:meth:`_Partition.prefix` at bin ``k[i]`` of row ``rows[i]`` (of
         every row when ``rows`` is None)."""
         starts = self.los[:, 1 : self.w + 1] if rows is None else self.los[rows, 1 : self.w + 1]
         j = np.count_nonzero(starts <= k[:, None], axis=1)
-        # k = 0 (the only k <= 0 asked for) reads 0.0 from interval 0
+        # k = 0 (the only k <= 0 asked for) reads cums[0] from interval 0
         return self.prefix_in(rows, j, k)
 
     def prefix_in(self, rows, j: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -156,20 +153,19 @@ class _Batch(_Rows):
         f = (self.row0 if rows is None else rows * self.cols) + j
         lo = self.los.take(f)
         hi = self.los.take(f + 1) - 1
-        before = np.where(j > 0, self.cums.take(f - 1), 0.0)
-        inner = before + self.masses.take(f) * ((k - lo + 1) / (hi - lo + 1))
-        return np.where(k == hi, self.cums.take(f), inner)
+        inner = self.cums.take(f) + self.masses.take(f) * ((k - lo + 1) / (hi - lo + 1))
+        return np.where(k == hi, self.cums.take(f + 1), inner)
 
     def first_reaching(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row-wise :meth:`_Partition.first_reaching`: the smallest bin whose
         prefix reaches ``target``, clamped to n, and its interval."""
         k = self.k
         # a pad holds the row's total, so it counts only if every interval does
-        j = np.count_nonzero(self.cums[:, : self.w] < target[:, None], axis=1)
+        j = np.count_nonzero(self.cums[:, 1 : self.w + 1] < target[:, None], axis=1)
         over = j >= k
         j = np.where(over, k - 1, j)
         f = self.row0 + j
-        before = np.where(j > 0, self.cums.take(f - 1), 0.0)
+        before = self.cums.take(f)
         mass = self.masses.take(f)
         lo = self.los.take(f)
         width = self.los.take(f + 1) - lo

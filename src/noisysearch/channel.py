@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -136,13 +135,6 @@ def _crossover(a: float, b: float, floor: float, x: float) -> float:
     p = a + b * (0.5 if x > 0.5 else x)
     p = floor if floor > p else p
     return P_CEILING if P_CEILING < p else p
-
-
-def _noise_function(profile: NoiseProfile) -> Callable[[float], float]:
-    """:func:`noise_for_size` of ``profile`` as a function of one query
-    fraction in [0, 1]: the same floats, with no range check and one call.
-    The episode engine builds it once per episode."""
-    return partial(_crossover, *_coefficients(profile), profile.p_floor)
 
 
 def _noise_for_sizes(profile: NoiseProfile, fractions: np.ndarray) -> np.ndarray:

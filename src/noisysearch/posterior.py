@@ -27,6 +27,9 @@ kernel's float operations on it in numpy, so both agree with the engine bit
 for bit.  Both kernels, and the lockstep rows of :mod:`noisysearch._batch`,
 hold their parts (intervals or runs) in one layout: ``los`` lists the parts'
 first bins and then ``n + 1``, so part ``j`` is ``los[j] .. los[j + 1] - 1``.
+The interval kernels' running sums ``cums`` have as many entries as ``los``
+and start at 0.0: ``cums[j]`` is the mass before part ``j``, and the last
+entry is the total.
 
 Bins are indexed 1..n throughout the public API; intervals are inclusive
 ``(lo, hi)`` pairs.
@@ -312,8 +315,8 @@ def _run_heads(mass: np.ndarray, member: Optional[np.ndarray] = None) -> np.ndar
 class _Partition:
     """Mutable list form of an interval partition: the per-step kernel.
 
-    ``los`` holds the intervals in the module's layout, ``masses`` their
-    masses and ``cums`` their running prefix sums.
+    ``los`` holds the intervals and ``cums`` their running sums in the
+    module's layout, and ``masses`` the interval masses.
     Plain lists and ``bisect`` beat numpy at the sizes an episode reaches
     (at most ``2t + 1`` intervals after ``t`` queries).  The read-only view
     of a dense vector (:func:`_prefix_index`) holds ranges and arrays instead.
@@ -329,12 +332,13 @@ class _Partition:
 
     @classmethod
     def uniform(cls, n_bins: int) -> "_Partition":
-        return cls([1, n_bins + 1], [1.0], [1.0])
+        return cls([1, n_bins + 1], [1.0], [0.0, 1.0])
 
     @classmethod
     def of(cls, post: PosteriorPartition) -> "_Partition":
         masses = post.mass.tolist()
-        return cls(post.lo.tolist() + [post.n_bins + 1], masses, list(accumulate(masses)))
+        return cls(post.lo.tolist() + [post.n_bins + 1], masses,
+                   list(accumulate(masses, initial=0.0)))
 
     def __len__(self) -> int:
         return len(self.los) - 1
@@ -393,32 +397,29 @@ class _Partition:
         new += [m * in_lik / total for m in query]
         new += [m * out_lik / total for m in tail]
         self.masses = new
-        self.cums = list(accumulate(new))
+        self.cums = list(accumulate(new, initial=0.0))
 
     def prefix(self, k: int) -> float:
-        """Total mass of bins 1..k (0 for k <= 0)."""
-        if k <= 0:
-            return 0.0
+        """Total mass of bins 1..k, for ``0 <= k <= n``."""
+        # k = 0 finds interval -1, whose end reads cums[0] = 0.0
         return self.prefix_in(bisect_right(self.los, k) - 1, k)
 
     def prefix_in(self, j: int, k: int) -> float:
         """:meth:`prefix` at a bin ``k`` of interval ``j``, without the search."""
         end = self.los[j + 1]
         if k == end - 1:
-            return self.cums[j]
-        before = self.cums[j - 1] if j > 0 else 0.0
+            return self.cums[j + 1]
         lo = self.los[j]
-        width = end - lo
-        return before + self.masses[j] * ((k - lo + 1) / width)
+        return self.cums[j] + self.masses[j] * ((k - lo + 1) / (end - lo))
 
     def first_reaching(self, target: float) -> tuple[int, int]:
         """Smallest k with prefix(k) >= target, clamped to n, and the
         interval that holds it."""
         cums = self.cums
-        j = bisect_left(cums, target)
-        if j >= len(cums):
-            return self.n, len(cums) - 1
-        before = cums[j - 1] if j > 0 else 0.0
+        j = bisect_left(cums, target, 1) - 1
+        if j >= len(self.masses):
+            return self.n, j - 1
+        before = cums[j]
         mass = self.masses[j]
         lo = self.los[j]
         width = self.los[j + 1] - lo
@@ -575,7 +576,7 @@ def _prefix_index(post: Posterior) -> _Partition:
     into unit-width intervals."""
     if isinstance(post, PosteriorDense):
         bins = range(1, post.n_bins + 2)  # immutable: the view cannot be cut
-        return _Partition(bins, post.mass, np.cumsum(post.mass))
+        return _Partition(bins, post.mass, np.cumsum(np.append(0.0, post.mass)))
     return _Partition.of(post)
 
 

@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from . import _batch
-from .channel import NoiseProfile, _noise_function
+from .channel import NoiseProfile, _coefficients, _crossover
 from .errors import CapExceededError, ContractViolationError
 from .posterior import Posterior, _Partition, _Runs
 from .strategies import _ROOT, StrategyKind, _run_for
@@ -204,8 +204,8 @@ def _run(
     :func:`_uniform_blocks` of it, which gives the same values.
 
     Each step evaluates the channel once, for both the observation and the
-    update, through one function built per episode
-    (:func:`channel._noise_function`, the floats of ``noise_for_size``), and
+    update, through :func:`channel._crossover` with the profile's
+    coefficients read once per episode (the floats of ``noise_for_size``), and
     passes the query to the kernel's ``update`` in the kernel's own form.
     Each connected-rule step starts its heavy-node descent from the previous
     step's node (:func:`strategies._heaviest`).  The kernel's O(#intervals)
@@ -244,7 +244,8 @@ def _run(
     c = 0  # cps[c] is the next checkpoint
 
     next_uniform = (iter(rng.random, None) if uniforms is None else uniforms).__next__
-    noise = _noise_function(config.profile)
+    a, b = _coefficients(config.profile)
+    floor = config.profile.p_floor
     peak_bound = state.peak_bound
     depth = config.L
     node = _ROOT  # the last heavy node, where the next descent starts
@@ -257,13 +258,13 @@ def _run(
         if sort:
             flags, size = state.select()
             frac = size / n
-            p = noise(frac)
+            p = _crossover(a, b, floor, frac)
             y = flags[bisect_right(state.los, truth) - 1] ^ (next_uniform() < p)
             state.update(flags, y, p)
         else:
             s1, s2, node = _run_for(kind, state, depth, node)
             frac = (s2 - s1 + 1) / n
-            p = noise(frac)
+            p = _crossover(a, b, floor, frac)
             y = (s1 <= truth <= s2) ^ (next_uniform() < p)
             state.update(s1, s2, y, p)
         k = len(state.los) - 1

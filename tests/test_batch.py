@@ -113,11 +113,11 @@ def test_every_step_equals_scalar_partition(kind, L, profile, monkeypatch):
         for i in range(rows):
             j = k[i]
             got = (s1[i], s2[i], bool(y[i]), p[i], los[i, : j + 1].tolist(),
-                   masses[i, :j].tolist(), cums[i, :j].tolist())
+                   masses[i, :j].tolist(), cums[i, : j + 1].tolist())
             assert got == scalar[i][t], (t, i)
             assert (los[i, j : w + 1] == n + 1).all(), (t, i)
             assert (masses[i, j:w] == 0.0).all(), (t, i)
-            assert (cums[i, j:w] == cums[i, j - 1]).all(), (t, i)
+            assert (cums[i, j + 1 : w + 1] == cums[i, j]).all(), (t, i)
 
 
 # (profile, L, seed, first trial, rows); n = 60 on each.  Constant noise
@@ -269,7 +269,7 @@ def test_reads_equal_partition_reads(kind, monkeypatch):
     for i in range(20):
         j = batch.k[i]
         parts.append(_Partition(batch.los[i, : j + 1].tolist(), batch.masses[i, :j].tolist(),
-                                batch.cums[i, :j].tolist()))
+                                batch.cums[i, : j + 1].tolist()))
     for i, part in enumerate(parts):
         bins = sorted({0} | {b for lo, end in zip(part.los, part.los[1:])
                              for b in (lo, (lo + end - 1) // 2, end - 1)})
@@ -277,7 +277,7 @@ def test_reads_equal_partition_reads(kind, monkeypatch):
         assert got.tolist() == [part.prefix(b) for b in bins], i
     for c in range(batch.w):
         for shift in (-1e-3, 0.0, 1e-3, 0.7):
-            target = batch.cums[:, c] + shift
+            target = batch.cums[:, c + 1] + shift
             ks, js = batch.first_reaching(target)
             for i, part in enumerate(parts):
                 assert (ks[i], js[i]) == part.first_reaching(target[i]), (c, shift, i)
@@ -288,6 +288,37 @@ def test_reads_equal_partition_reads(kind, monkeypatch):
         got = _batch._best_prefix_end(batch, start, base)
         for i, part in enumerate(parts):
             assert got[i] == strategies._best_prefix_end(part, start[i], base[i]), (c, i)
+
+
+def test_cut_equals_scalar_cut():
+    # rows of one, three and six intervals of 8 bins, cut at bin 1, at an
+    # existing start, inside an interval and at n + 1; then cut again at the
+    # same bins, where every row already has the start and none splits
+    m3 = [0.2, 0.3, 0.5]
+    m6 = [0.1, 0.1, 0.2, 0.2, 0.15, 0.25]
+    cases = [
+        ([1, 9], [1.0], 1), ([1, 9], [1.0], 4), ([1, 9], [1.0], 9),
+        ([1, 3, 5, 9], m3, 1), ([1, 3, 5, 9], m3, 5), ([1, 3, 5, 9], m3, 2),
+        ([1, 3, 5, 9], m3, 7), ([1, 3, 5, 9], m3, 9),
+        ([1, 2, 3, 4, 5, 6, 9], m6, 3), ([1, 2, 3, 4, 5, 6, 9], m6, 8),
+    ]
+    n = 8
+    batch = _batch._Batch(len(cases), n, 4)
+    for row, (los, masses, _) in enumerate(cases):
+        batch.los[row, : len(los)] = los
+        batch.masses[row, : len(masses)] = masses
+        batch.k[row] = len(masses)
+    batch.w = int(batch.k.max())
+    parts = [_Partition(los[:], masses[:], []) for los, masses, _ in cases]
+    b = np.array([c[2] for c in cases])
+    for _ in range(2):
+        got = batch.cut(b)
+        for row, part in enumerate(parts):
+            k = batch.k[row]
+            assert got[row] == part.cut(b[row]), row
+            assert batch.los[row, : k + 1].tolist() == part.los, row
+            assert batch.masses[row, :k].tolist() == part.masses, row
+            assert (batch.los[row, k : batch.w + 1] == n + 1).all(), row
 
 
 def test_hie_choice_on_ties():
@@ -305,11 +336,11 @@ def test_hie_choice_on_ties():
     batch.k[:] = 3
     batch.w = 3
     for row, masses in enumerate(cases):
-        cums = np.cumsum(masses)
+        cums = np.cumsum((0.0,) + masses)
         part = _Partition([1, 3, 5, 9], list(masses), cums.tolist())
         assert strategies._run_for(StrategyKind.HIE_PM, part, 3)[:2] == cases[masses]
         batch.masses[row, :3] = masses
-        batch.cums[row, :3] = cums
+        batch.cums[row, :4] = cums
     root = np.zeros(len(cases), dtype=np.int64)
     s1, s2, _, _ = _batch._select(StrategyKind.HIE_PM, batch, 3, root, root.copy())
     assert list(zip(s1.tolist(), s2.tolist())) == list(cases.values())

@@ -13,8 +13,9 @@ from noisysearch.channel import (
     AffineNoise,
     BernoulliPair,
     ConstantNoise,
+    _coefficients,
+    _crossover,
     _noise_for_sizes,
-    _noise_function,
     binary_entropy,
     eval_noise,
     kl_bernoulli,
@@ -71,8 +72,9 @@ class TestEvalNoise:
             assert got.tolist() == [noise_for_size(profile, x) for x in fracs.tolist()]
 
     def test_episode_function_equals_scalar_form(self):
-        # every query fraction 2**-L of the engine's range, the floats next to
-        # 1/2, and the whole space; bit for bit, so compared as hex strings
+        # the episode engine's call: every query fraction 2**-L of its range,
+        # the floats next to 1/2, and the whole space; bit for bit, so
+        # compared as hex strings
         fracs = [2.0**-L for L in range(54)]
         fracs += [math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), 1.0]
         floor_hit = ceiling_hit = False
@@ -81,9 +83,10 @@ class TestEvalNoise:
                         AffineNoise(0.0, 1.5), ConstantNoise(0.3), ConstantNoise(0.2, p_floor=0.0),
                         ConstantNoise(0.0, p_floor=0.0), ConstantNoise(0.05, p_floor=0.1),
                         ConstantNoise(0.7)):
-            noise = _noise_function(profile)
+            a, b = _coefficients(profile)
             want = [noise_for_size(profile, x) for x in fracs]
-            assert [noise(x).hex() for x in fracs] == [p.hex() for p in want]
+            got = [_crossover(a, b, profile.p_floor, x).hex() for x in fracs]
+            assert got == [p.hex() for p in want]
             floor_hit |= profile.p_floor > 0.0 and profile.p_floor in want
             ceiling_hit |= P_CEILING in want
         assert floor_hit and ceiling_hit

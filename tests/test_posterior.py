@@ -15,6 +15,7 @@ from noisysearch.posterior import (
     QuerySet,
     _Partition,
     _Runs,
+    _prefix_index,
     avg_log_likelihood,
     bayes_update_dense,
     bayes_update_partition,
@@ -216,9 +217,9 @@ class TestPartitionUpdate:
 
 
 class TestKernelLayout:
-    """Both kernels hold their part starts followed by ``n + 1``; building a
-    kernel from the public form and freezing or expanding it gives that form
-    back exactly."""
+    """Both kernels hold their part starts followed by ``n + 1``, and the
+    interval kernel its running sums from 0.0; building a kernel from the
+    public form and freezing or expanding it gives that form back exactly."""
 
     @staticmethod
     def cases(L):
@@ -254,6 +255,25 @@ class TestKernelLayout:
             assert runs.los[:-1] == starts.tolist()
             back = runs.expand()
             assert back.dtype == mass.dtype and np.array_equal(back, mass)
+
+    @staticmethod
+    def assert_sums(part):
+        cums, masses = part.cums, part.masses
+        assert len(cums) == len(part.los) and cums[0] == 0.0
+        assert all(cums[j + 1] == cums[j] + m for j, m in enumerate(masses))
+        assert part.prefix(0) == 0.0 and part.prefix(part.n) == cums[-1]
+
+    @pytest.mark.parametrize("L", (6, 12))
+    def test_partition_running_sums(self, L):
+        # from of, uniform, after an update that cuts twice, and in the
+        # dense view's unit intervals
+        for n, starts, values in self.cases(L):
+            post = PosteriorPartition(starts, np.append(starts[1:] - 1, n), values / values.sum())
+            self.assert_sums(_prefix_index(flatten(post)))
+            for part in (_Partition.of(post), _Partition.uniform(n)):
+                self.assert_sums(part)
+                part.update(n // 3 + 1, 2 * n // 3, 1, 0.2)
+                self.assert_sums(part)
 
 
 class TestOracleEquivalence:

@@ -411,7 +411,7 @@ class TestGatedPeakScan:
             update(self, *args)
             j = max(range(len(self)), key=lambda u: self.los[u + 1] - self.los[u])
             self.cut((self.los[j] + self.los[j + 1]) // 2)  # one interval more
-            self.cums = list(accumulate(self.masses))
+            self.cums = list(accumulate(self.masses, initial=0.0))
 
         monkeypatch.setattr(sim._Partition, "update", update_and_split)
         cfg = config(L=10, strategy=StrategyKind.DYA_PM, stopping=FixedLength(40), seed=53)
@@ -475,13 +475,13 @@ class TestWarmStartDescent:
         heavy = 0.5 + strategies._HEAVY_MARGIN / 2
         assert 0.5 < heavy < 0.5 + strategies._HEAVY_MARGIN
         masses = [heavy, 0.0, 1.0 - heavy]
-        part = _Partition([1, 2, 5, 9], masses, list(accumulate(masses)))
+        part = _Partition([1, 2, 5, 9], masses, list(accumulate(masses, initial=0.0)))
         assert self.every_start(part, 3)[:2] == (3, 0)
 
     def test_fork_reached_from_a_start_node(self):
         # node (1, 0) splits exactly in half: bins 2 and 3 weigh 1/2 each
         masses = [0.0, 0.5, 0.5, 0.0]
-        part = _Partition([1, 2, 3, 4, 9], masses, list(accumulate(masses)))
+        part = _Partition([1, 2, 3, 4, 9], masses, list(accumulate(masses, initial=0.0)))
         assert self.every_start(part, 3) == (3, 1, 0.0, None, 0.5)
 
 
