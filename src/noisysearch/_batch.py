@@ -20,7 +20,9 @@ Both kinds of row live in one store, :class:`_Rows`: each row's parts in
 the width :func:`_row_width` gives, one flat offset per row and one
 column-insert routine, :meth:`_Rows._open`, that both kinds of cut call.
 :class:`_Batch` adds the interval masses and running sums, :class:`_RunBatch`
-the run values.
+the run values.  :meth:`_Batch.row` turns a row back into a
+:class:`posterior._Partition`; a heavy-node descent that forks finishes on
+it, in the scalar :func:`strategies._descend`.
 
 A fixed-length trial takes exactly ``n`` steps, so no row idles, and row
 ``r`` reads its ``n`` uniforms from row ``r`` of a ``(rows, n)`` array.
@@ -34,7 +36,8 @@ import numpy as np
 
 from .channel import _noise_for_sizes
 from .errors import ContractViolationError, ZeroLikelihoodError
-from .strategies import _HEAVY_MARGIN, StrategyKind
+from .posterior import _Partition
+from .strategies import _HEAVY_MARGIN, StrategyKind, _descend
 
 
 def _row_width(sort: bool, steps: int) -> int:
@@ -183,6 +186,13 @@ class _Batch(_Rows):
         density = np.where(real, self.masses[:, :w] / widths, -np.inf)
         return self.los.take(self.row0 + np.argmax(density, axis=1))
 
+    def row(self, r: int) -> _Partition:
+        """Row ``r`` as a scalar :class:`posterior._Partition`: its first
+        ``k + 1`` starts, ``k`` masses and ``k + 1`` running sums, as lists."""
+        k = self.k[r]
+        return _Partition(self.los[r, : k + 1].tolist(), self.masses[r, :k].tolist(),
+                          self.cums[r, : k + 1].tolist())
+
 
 class _RunBatch(_Rows):
     """Rows of :class:`posterior._Runs` runs: a pad has value 0 and, ending
@@ -296,10 +306,9 @@ def _heaviest(batch: _Batch, depth: int, level: np.ndarray, m: np.ndarray) -> tu
     arrays it may modify: returns ``(level, m, pref_lo, pref_mid, pref_hi)``,
     with ``pref_mid`` NaN for a leaf.
 
-    A row whose descent forks (two children of mass 1/2) walks its left
-    branch in its own lane and its right branch in an extra lane; at the
-    end it keeps the deeper, the left on a tie.  A descent forks at most
-    once (see :func:`strategies._heaviest`), so a second fork is a fault.
+    A row whose descent forks (two children of mass 1/2) leaves the
+    lockstep walk at the fork, and :func:`strategies._descend` finishes it
+    on the row's :meth:`_Batch.row`, whose prefixes are this batch's.
     """
     width = np.left_shift(1, depth - level)
     lo = batch.prefix(None, m * width)
@@ -316,50 +325,30 @@ def _heaviest(batch: _Batch, depth: int, level: np.ndarray, m: np.ndarray) -> tu
         width[climb] <<= 1
         climb = climb[(level[climb] > 0) & (hi[climb] - lo[climb] < 0.5 + _HEAVY_MARGIN)]
 
-    rows = batch.r.size
-    lane_row = batch.r
-    mid = np.full(rows, np.nan)
-    right_lane = np.full(rows, -1)
+    mid = np.full(level.shape, np.nan)
+    forks = []
     active = np.flatnonzero(level < depth)
     while active.size:
-        lv, lm, lane = level[active], m[active], lane_row[active]
-        half = np.left_shift(1, depth - lv - 1)
-        pm = batch.prefix(lane, lm * 2 * half + half)
-        left = pm - lo[active]
-        right = hi[active] - pm
-        go_left = left >= 0.5
-        go_right = right >= 0.5
-        fork = go_left & go_right
-        if fork.any():
-            forked = lane[fork]
-            if (right_lane[forked] >= 0).any():
-                raise ContractViolationError("a heavy-node descent forked twice")
-            new = np.arange(lane_row.size, lane_row.size + forked.size)
-            right_lane[forked] = new
-            lane_row = np.concatenate((lane_row, forked))
-            level = np.concatenate((level, lv[fork] + 1))
-            m = np.concatenate((m, 2 * lm[fork] + 1))
-            lo = np.concatenate((lo, pm[fork]))
-            hi = np.concatenate((hi, hi[active][fork]))
-            mid = np.concatenate((mid, np.full(forked.size, np.nan)))
+        half = np.left_shift(1, depth - level[active] - 1)
+        pm = batch.prefix(active, m[active] * 2 * half + half)
+        go_left = pm - lo[active] >= 0.5
+        go_right = hi[active] - pm >= 0.5
+        forks += active[go_left & go_right].tolist()
         stop = ~go_left & ~go_right
         mid[active[stop]] = pm[stop]
-        step = active[~stop]
-        down_left = go_left[~stop]
-        pm = pm[~stop]
+        move = go_left != go_right
+        step, down_left, pm = active[move], go_left[move], pm[move]
         level[step] += 1
         m[step] = 2 * m[step] + ~down_left
         lo[step] = np.where(down_left, lo[step], pm)
         hi[step] = np.where(down_left, pm, hi[step])
         active = step[level[step] < depth]
-        if fork.any():
-            active = np.concatenate((active, new[level[new] < depth]))
 
-    pick = np.arange(rows)
-    forks = np.flatnonzero(right_lane >= 0)
-    deeper = level[right_lane[forks]] > level[forks]
-    pick[forks[deeper]] = right_lane[forks[deeper]]
-    return level[pick], m[pick], lo[pick], mid[pick], hi[pick]
+    for r in forks:
+        node = _descend(batch.row(r), depth, int(level[r]), int(m[r]), float(lo[r]), float(hi[r]))
+        level[r], m[r], lo[r], pref_mid, hi[r] = node
+        mid[r] = np.nan if pref_mid is None else pref_mid
+    return level, m, lo, mid, hi
 
 
 def _best_prefix_end(batch: _Batch, start: np.ndarray, base: np.ndarray) -> np.ndarray:

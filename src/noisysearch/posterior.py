@@ -414,17 +414,16 @@ class _Partition:
 
     def first_reaching(self, target: float) -> tuple[int, int]:
         """Smallest k with prefix(k) >= target, clamped to n, and the
-        interval that holds it."""
+        interval that holds it, for a ``target > 0``."""
         cums = self.cums
         j = bisect_left(cums, target, 1) - 1
         if j >= len(self.masses):
             return self.n, j - 1
+        # cums[j] < target <= cums[j + 1] = cums[j] + masses[j], so masses[j] > 0
         before = cums[j]
         mass = self.masses[j]
         lo = self.los[j]
         width = self.los[j + 1] - lo
-        if mass <= 0.0:
-            return lo, j
         count = math.ceil((target - before) * width / mass)
         return lo + min(max(count, 1), width) - 1, j
 

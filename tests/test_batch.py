@@ -103,18 +103,20 @@ def test_every_step_equals_scalar_partition(kind, L, profile, monkeypatch):
     def record_batch(batch, s1, s2, y, p):
         batch_update(batch, s1, s2, y, p)
         batched.append(tuple(a.copy() for a in (s1, s2, y, p, batch.los, batch.masses,
-                                                  batch.cums, batch.k)) + (batch.w,))
+                                                  batch.cums, batch.k))
+                       + (batch.w, [batch.row(i) for i in range(rows)]))
 
     monkeypatch.setattr(_batch._Batch, "update", record_batch)
     _batch.run_batch(cfg, None, *sim._draw_trials(cfg, 0, rows))
     assert len(batched) == 40
-    for t, (s1, s2, y, p, los, masses, cums, k, w) in enumerate(batched):
+    for t, (s1, s2, y, p, los, masses, cums, k, w, parts) in enumerate(batched):
         assert w == k.max()
         for i in range(rows):
             j = k[i]
             got = (s1[i], s2[i], bool(y[i]), p[i], los[i, : j + 1].tolist(),
                    masses[i, :j].tolist(), cums[i, : j + 1].tolist())
             assert got == scalar[i][t], (t, i)
+            assert (parts[i].los, parts[i].masses, parts[i].cums) == scalar[i][t][4:], (t, i)
             assert (los[i, j : w + 1] == n + 1).all(), (t, i)
             assert (masses[i, j:w] == 0.0).all(), (t, i)
             assert (cums[i, j + 1 : w + 1] == cums[i, j]).all(), (t, i)
@@ -214,6 +216,20 @@ def test_run_checks_fire(monkeypatch):
         _batch.run_batch(cfg, None, *sim._draw_trials(cfg, 0, 5))
 
 
+def test_partition_checks_fire():
+    # a row whose total mass is zero (p = 0, y = 0 on the full range), and a
+    # cut past the row width: cuts at 2, 3 and 4 fill a horizon-1 row
+    batch = _batch._Batch(2, 8, 1)
+    with pytest.raises(ZeroLikelihoodError):
+        batch.update(np.ones(2, dtype=np.int64), np.full(2, 8), np.zeros(2, dtype=bool),
+                     np.zeros(2))
+    batch = _batch._Batch(1, 8, 1)
+    for b in (2, 3, 4):
+        batch.cut(np.array([b]))
+    with pytest.raises(ContractViolationError, match="more than"):
+        batch.cut(np.array([5]))
+
+
 def test_crossing_count_adjustments():
     # runs [1, 1] of value a and [2, w + 1] of value v, then a tail of value
     # 1e-9: the crossing run is the second, with a taken before it, and
@@ -265,11 +281,7 @@ def test_reads_equal_partition_reads(kind, monkeypatch):
     cfg = config(kind, 12, PROFILES["affine"], 8)
     _batch.run_batch(cfg, None, *sim._draw_trials(cfg, 0, 20))
     batch = seen[-1]
-    parts = []
-    for i in range(20):
-        j = batch.k[i]
-        parts.append(_Partition(batch.los[i, : j + 1].tolist(), batch.masses[i, :j].tolist(),
-                                batch.cums[i, : j + 1].tolist()))
+    parts = [batch.row(i) for i in range(20)]
     for i, part in enumerate(parts):
         bins = sorted({0} | {b for lo, end in zip(part.los, part.los[1:])
                              for b in (lo, (lo + end - 1) // 2, end - 1)})
@@ -344,6 +356,42 @@ def test_hie_choice_on_ties():
     root = np.zeros(len(cases), dtype=np.int64)
     s1, s2, _, _ = _batch._select(StrategyKind.HIE_PM, batch, 3, root, root.copy())
     assert list(zip(s1.tolist(), s2.tolist())) == list(cases.values())
+
+
+def test_fork_keeps_the_deeper_branch(monkeypatch):
+    # 8-bin rows whose root splits exactly in half, so the descent forks: the
+    # right branch is deeper, the two end at leaves, the left is deeper
+    cases = {
+        ((1, 3, 5, 6, 9), (0.25, 0.25, 0.5, 0.0)): (3, 4),
+        ((1, 2, 5, 6, 9), (0.5, 0.0, 0.5, 0.0)): (3, 0),
+        ((1, 2, 3, 5, 9), (0.0, 0.5, 0.0, 0.5)): (3, 1),
+    }
+    batch = _batch._Batch(len(cases), 8, 4)
+    batch.k[:] = 4
+    batch.w = 4
+    parts, want = [], []
+    for row, (los, masses) in enumerate(cases):
+        cums = np.cumsum((0.0,) + masses)
+        parts.append((list(los), list(masses), cums.tolist()))
+        want.append(strategies._heaviest(_Partition(*parts[-1]), 3))
+        assert want[-1][:2] == cases[los, masses]
+        batch.los[row, :5] = los
+        batch.masses[row, :4] = masses
+        batch.cums[row, :5] = cums
+    handed = []
+    descend = _batch._descend
+
+    def record(part, *args):
+        handed.append((part.los, part.masses, part.cums))
+        return descend(part, *args)
+
+    monkeypatch.setattr(_batch, "_descend", record)
+    root = np.zeros(len(cases), dtype=np.int64)
+    level, m, lo, mid, hi = _batch._heaviest(batch, 3, root, root.copy())
+    for row, node in enumerate(want):
+        pref_mid = None if math.isnan(mid[row]) else mid[row]
+        assert (level[row], m[row], lo[row], pref_mid, hi[row]) == node, row
+    assert handed == parts  # each row leaves the lockstep walk once, as itself
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)

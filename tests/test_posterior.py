@@ -179,6 +179,15 @@ class TestPartitionUpdate:
         part = bayes_update_partition(start, QuerySet.from_run(5, 8), 0, NOISELESS)
         assert part.intervals == [(1, 4, 1.0), (5, 8, 0.0)]
 
+    def test_zero_likelihood_raises(self):
+        # p = 0 and y = 0 on a query holding all the mass; and on the run
+        # kernel, every run with mass queried
+        with pytest.raises(ZeroLikelihoodError):
+            bayes_update_partition(PosteriorPartition.uniform(8), QuerySet.from_run(1, 8), 0,
+                                   AffineNoise(0.0, 0.0, p_floor=0.0))
+        with pytest.raises(ZeroLikelihoodError):
+            _Runs([1, 3, 5], [0.5, 0.0]).update([True, False], 0, 0.0)
+
     def test_non_contiguous_query_rejected(self):
         with pytest.raises(ContractViolationError):
             bayes_update_partition(
@@ -214,6 +223,18 @@ class TestPartitionUpdate:
         assert part.los == [1, 4, 6, 9]  # [1, 3], [4, 5] and [6, 8]
         assert part.masses == [0.25, 0.75 * (2 / 5), 0.75 * (3 / 5)]
         assert part.cut(9) == 3
+
+    def test_first_reaching_lands_on_positive_mass(self):
+        # zero-mass intervals before, between and after positive ones, masses
+        # exact in binary; every target in (0, 1] on a 1/16 grid, which holds
+        # each running sum and points between them
+        part = _Partition([1, 2, 4, 5, 7, 8, 9], [0.0, 0.25, 0.0, 0.5, 0.25, 0.0],
+                          [0.0, 0.0, 0.25, 0.25, 0.75, 1.0, 1.0])
+        assert set(part.cums) < {t / 16 for t in range(17)}
+        for t in range(1, 17):
+            k, j = part.first_reaching(t / 16)
+            assert part.masses[j] > 0.0 and part.los[j] <= k < part.los[j + 1], t
+            assert k == min(b for b in range(part.n + 1) if part.prefix(b) >= t / 16), t
 
 
 class TestKernelLayout:
