@@ -97,6 +97,9 @@ class TestDenseUpdate:
         post = dense(1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ZeroLikelihoodError):
             bayes_update_dense(post, QuerySet.from_run(3, 4), 1, NOISELESS)
+        # the run kernel: all the mass in the queried run, p = 0 and y = 0
+        with pytest.raises(ZeroLikelihoodError):
+            _Runs([1, 3, 5], [0.5, 0.0]).update([True, False], 0, 0.0)
 
     def test_bad_observation_rejected(self):
         with pytest.raises(ValueError):
@@ -180,13 +183,10 @@ class TestPartitionUpdate:
         assert part.intervals == [(1, 4, 1.0), (5, 8, 0.0)]
 
     def test_zero_likelihood_raises(self):
-        # p = 0 and y = 0 on a query holding all the mass; and on the run
-        # kernel, every run with mass queried
+        # p = 0 and y = 0 on a query holding all the mass
         with pytest.raises(ZeroLikelihoodError):
             bayes_update_partition(PosteriorPartition.uniform(8), QuerySet.from_run(1, 8), 0,
                                    AffineNoise(0.0, 0.0, p_floor=0.0))
-        with pytest.raises(ZeroLikelihoodError):
-            _Runs([1, 3, 5], [0.5, 0.0]).update([True, False], 0, 0.0)
 
     def test_non_contiguous_query_rejected(self):
         with pytest.raises(ContractViolationError):
