@@ -69,6 +69,25 @@ CLI_CASES = {
     "simulate-dya-vl-floor": (["simulate", "--strategy", "dya", "--L", "30",
                                "--noise", "affine:0:0.5", "--vl", "1e-3", "--trials", "20",
                                "--seed", "3"], None),
+    # stopping thresholds 1 - eps of 0.6, 0.5 and 0.3, on both sides of 1/2
+    "simulate-median-vl0.4": (["simulate", "--strategy", "median", "--L", "8", *AFFINE,
+                               "--vl", "0.4", *MC], None),
+    "simulate-dya-vl0.4": (["simulate", "--strategy", "dya", "--L", "8", *AFFINE,
+                            "--vl", "0.4", *MC], None),
+    "simulate-hie-vl0.4": (["simulate", "--strategy", "hie", "--L", "8", *AFFINE,
+                            "--vl", "0.4", *MC], None),
+    "simulate-median-vl0.5": (["simulate", "--strategy", "median", "--L", "8", *AFFINE,
+                               "--vl", "0.5", *MC], None),
+    "simulate-dya-vl0.5": (["simulate", "--strategy", "dya", "--L", "8", *AFFINE,
+                            "--vl", "0.5", *MC], None),
+    "simulate-hie-vl0.5": (["simulate", "--strategy", "hie", "--L", "8", *AFFINE,
+                            "--vl", "0.5", *MC], None),
+    "simulate-median-vl0.7": (["simulate", "--strategy", "median", "--L", "8", *AFFINE,
+                               "--vl", "0.7", *MC], None),
+    "simulate-dya-vl0.7": (["simulate", "--strategy", "dya", "--L", "8", *AFFINE,
+                            "--vl", "0.7", *MC], None),
+    "simulate-hie-vl0.7": (["simulate", "--strategy", "hie", "--L", "8", *AFFINE,
+                            "--vl", "0.7", *MC], None),
     "bounds": (["bounds", "--L", "12", *AFFINE, "--vl", "0.001"], None),
     "frontier": (["frontier", *AFFINE], None),
 }
@@ -89,6 +108,15 @@ GOLDEN_CLI = {
     "dump-partition-median-long": "47da215c15dd449ce1eea83519c1683fdba7636ec51c92832a412a113a63c6d0",
     "simulate-hie-vl-constant": "28a5e9c64a93c38e6e365ec25645f469df180ee29b370f6e6d30dcc61e7337e2",
     "simulate-dya-vl-floor": "d8e746c8ecd9c5fc41a8c5b9042971918dba032a3290bcb0565c23762f08b1c5",
+    "simulate-median-vl0.4": "9bc4a9e0e8674e475ac1da3cc955bfe4963b6c11f64d7a0cc0b3df065a01d348",
+    "simulate-dya-vl0.4": "7654a8d4439eb9b62092e7c32424942db17cb52491f308f5ca5bce1639dfdfef",
+    "simulate-hie-vl0.4": "1264c033b5f18398597a61c26996c0f5dc3a028d7656ec9294f5b894bf89d091",
+    "simulate-median-vl0.5": "4192c6f5e716cfeca2c975cf819efbe97054278cc84167e6b22f067ac70101ea",
+    "simulate-dya-vl0.5": "b0c7d4267ae8d7a1bc306c88256ff9988cf70c413b2dbcea47a0c5d7e77063aa",
+    "simulate-hie-vl0.5": "de3c6014f906c70d6ae843a78e7270dec3813025dedfa8d3a2afd71576c9889c",
+    "simulate-median-vl0.7": "0d54b83a09a7b34537a099e6c6202c48d61f2f78bde1f2d62cc71a50add59ea5",
+    "simulate-dya-vl0.7": "bbdad640ec3dd1f1ec960032d77922a187de27dddb072b75f4d86497d2653aa6",
+    "simulate-hie-vl0.7": "f8cc7c8bac5c48a4436e09fa458ace37f6a74be3a20fb06e6a185969610ca198",
     "bounds": "9df85a159c1346d4fa169a6d71d3705d9459088faff60fecd10be5f5327e489e",
     "frontier": "29794db2469586fcea4584234f88f181a4ea6fb2b59da704938dcba94b265532",
 }
