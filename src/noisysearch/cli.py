@@ -38,6 +38,7 @@ from .channel import (
 )
 from .errors import NoisySearchError
 from .sim import (
+    _MAX_TRIALS,
     STEP_CAP,
     FixedLength,
     MonteCarloSummary,
@@ -207,7 +208,7 @@ def parse_args(argv: Sequence[str]) -> RunManifest:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
                 overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config file {config_path!r}: {exc}")
         if not isinstance(overrides, dict):
             parser.error(f"config file {config_path!r} must hold a JSON object")
@@ -351,6 +352,8 @@ def _plan(m: RunManifest) -> Callable[[TextIO, Optional[TextIO]], None]:
     require("strategy")
     if m.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if m.trials > _MAX_TRIALS:
+        raise ValueError(f"--trials must be <= {_MAX_TRIALS}")
     if m.workers < 1:
         raise ValueError("--workers must be >= 1")
 

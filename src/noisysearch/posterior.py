@@ -270,10 +270,14 @@ class PosteriorPartition:
 Posterior = Union[PosteriorDense, PosteriorPartition]
 
 
-def _likelihoods(y: int, p: float) -> tuple[float, float]:
-    """(likelihood inside query, likelihood outside) for observation ``y``."""
+def _check_observation(y: int) -> None:
     if y not in (0, 1):
         raise ValueError(f"observation must be 0 or 1, got {y}")
+
+
+def _likelihoods(y: int, p: float) -> tuple[float, float]:
+    """(likelihood inside query, likelihood outside) for observation ``y``."""
+    _check_observation(y)
     if y == 1:
         return 1.0 - p, p
     return p, 1.0 - p
@@ -372,13 +376,14 @@ class _Partition:
         return j + 1
 
     def update(self, s1: int, s2: int, y: int, p: float) -> None:
-        """Bayes step for the query [s1, s2] answered ``y`` with crossover ``p``.
+        """Bayes step for the query [s1, s2] answered ``y`` (0 or 1, or a
+        bool; the caller checks it) with crossover ``p``.
 
         Cuts at the query endpoints so the query is a union of whole
         intervals (adding at most two), reweights the interval masses by the
         channel likelihood and renormalizes.
         """
-        in_lik, out_lik = _likelihoods(y, p)
+        in_lik, out_lik = (1.0 - p, p) if y else (p, 1.0 - p)
         i1 = self.cut(s1)
         i2 = self.cut(s2 + 1)  # after i1, so i1 stays put
         masses = self.masses
@@ -431,6 +436,23 @@ class _Partition:
         """An upper bound on :meth:`peak`'s mass, without its scan: the
         largest interval mass, since ``fl(m / w) <= m`` for a width ``w >= 1``."""
         return max(self.masses)
+
+    def half_mass_bound(self) -> float:
+        """The mass of the interval that holds the half-mass point (the first
+        whose running sum reaches 1/2), found in O(log K) for K intervals.
+
+        For a threshold ``t > 1/2 + strategies._HEAVY_MARGIN`` it exceeds
+        ``t`` exactly when :meth:`peak_bound` does, on the posteriors of an
+        episode (``cums`` current, ``K <= 2 * STEP_CAP + 1``).  Proof: let
+        ``masses[i] > t``.  A float sum of non-negative terms is at least
+        each term, so ``cums[i + 1] >= masses[i] > 1/2`` and the interval
+        found is at most ``i``.  The two disjoint parts ``cums[i]`` and
+        ``masses[i]`` measure at most ``(1 + u) * cums[-1] <= 1 + (2K + 2) u``
+        together (the bound :func:`strategies._heaviest` proves), less than
+        4.5e-10 above 1, while ``masses[i] > 1/2 + 2**-20``.  So
+        ``cums[i] < 1/2``, and the interval found is ``i``.
+        """
+        return self.masses[bisect_left(self.cums, 0.5, 1) - 1]
 
     def peak(self) -> tuple[float, int]:
         """(max single-bin mass, 1-based bin index of its first occurrence)."""
@@ -593,6 +615,7 @@ def bayes_update_partition(
     n = post.n_bins
     if s2 > n:
         raise ValueError(f"query {query.runs} exceeds range 1..{n}")
+    _check_observation(y)
     part = _Partition.of(post)
     part.update(s1, s2, y, noise_for_size(profile, query.size_fraction(n)))
     return part.freeze()

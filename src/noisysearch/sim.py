@@ -24,11 +24,10 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from . import _batch
 from .channel import NoiseProfile, _coefficients, _crossover
 from .errors import CapExceededError, ContractViolationError
 from .posterior import Posterior, _Partition, _Runs
-from .strategies import _ROOT, StrategyKind, _run_for
+from .strategies import _CONNECTED_QUERIES, _HEAVY_MARGIN, _ROOT, StrategyKind
 
 __all__ = [
     "FixedLength",
@@ -46,6 +45,8 @@ __all__ = [
 ]
 
 STEP_CAP = 10**6
+# trial indices, and the unit edges of a run, are int64
+_MAX_TRIALS = 2**63 - 1
 # uniforms per draw of a Monte Carlo trial's channel noise: one numpy call
 # per block instead of one per query
 _UNIFORM_BLOCK = 64
@@ -214,7 +215,11 @@ def _run(
     variable-length step whose largest interval mass (``peak_bound()``, an
     upper bound on every bin's mass) exceeds ``1 - eps``.  On any other step
     the peak cannot pass the threshold, so the record is the one a scan on
-    every step would give.
+    every step would give.  While ``1 - eps > 1/2 + _HEAVY_MARGIN`` the
+    interval rules test, in O(log K), the mass of the interval that holds
+    the half-mass point (``half_mass_bound()``), which exceeds ``1 - eps``
+    exactly when the largest does, so ``peak()`` runs on the same steps;
+    for ``eps >= 1/2 - 2**-20`` they test ``peak_bound()``.
     """
     n = config.n_bins
     kind = config.strategy
@@ -240,13 +245,20 @@ def _run(
     fl_n = config.stopping.n if isinstance(config.stopping, FixedLength) else None
     # a fixed-length run never stops on the peak
     threshold = math.inf if fl_n is not None else 1.0 - config.stopping.epsilon
+    if sort:
+        peak_bound = state.peak_bound
+    else:
+        query = _CONNECTED_QUERIES[kind]
+        # past 1/2 + the margin only the interval at the half-mass point can
+        # hold a bin above the threshold
+        peak_bound = (state.half_mass_bound if threshold > 0.5 + _HEAVY_MARGIN
+                      else state.peak_bound)
     cps = (*(checkpoints or ()), 0)  # in order, then 0, which no step matches
     c = 0  # cps[c] is the next checkpoint
 
     next_uniform = (iter(rng.random, None) if uniforms is None else uniforms).__next__
     a, b = _coefficients(config.profile)
     floor = config.profile.p_floor
-    peak_bound = state.peak_bound
     depth = config.L
     node = _ROOT  # the last heavy node, where the next descent starts
     sizes: list[float] = []
@@ -262,7 +274,7 @@ def _run(
             y = flags[bisect_right(state.los, truth) - 1] ^ (next_uniform() < p)
             state.update(flags, y, p)
         else:
-            s1, s2, node = _run_for(kind, state, depth, node)
+            s1, s2, node = query(state, depth, node)
             frac = (s2 - s1 + 1) / n
             p = _crossover(a, b, floor, frac)
             y = (s1 <= truth <= s2) ^ (next_uniform() < p)
@@ -361,6 +373,8 @@ def _lockstep_batches(config: SearchConfig, trials: int) -> int:
     each."""
     if not (isinstance(config.stopping, FixedLength) and 1 <= config.L <= 53):
         return 0
+    from . import _batch  # only a run that can batch loads the lockstep engine
+
     width = _batch._row_width(config.strategy is StrategyKind.SORT_PM, config.stopping.n)
     cap = min(_BATCH_MAX_ROWS, _BATCH_CELLS // width)
     if cap < _BATCH_MIN_ROWS:
@@ -402,6 +416,8 @@ def _count_trials(
     edges = np.linspace(start, stop, units + 1, dtype=int).tolist()
     for a, b in zip(edges[:-1], edges[1:]):
         if batched:
+            from . import _batch
+
             truth, uniforms = _draw_trials(config, a, b)
             estimates = _batch.run_batch(config, checkpoints, truth, uniforms)
             tau_sum += (b - a) * config.stopping.n
@@ -428,6 +444,8 @@ def _map_trials(
     the calling process."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trials must be <= {_MAX_TRIALS}, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)

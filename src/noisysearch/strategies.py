@@ -113,41 +113,62 @@ def _best_prefix_end(idx, start: int, base: float) -> int:
     the crossing interval or the ones next to it, so no further search runs.
     """
     k0, j = idx.first_reaching(base + 0.5)
+    lo, end = idx.los[j], idx.los[j + 1]
     best_k, best_d = 0, math.inf
     for k in (k0 - 1, k0, k0 + 1):
         if start <= k <= idx.n:
             # the interval that holds k, so d is exactly prefix(k)'s; j alone
             # gives the same float at k0 - 1 but not at k0 + 1 past j's end
-            i = j - (k < idx.los[j]) + (k >= idx.los[j + 1])
+            i = j - (k < lo) + (k >= end)
             d = abs(idx.prefix_in(i, k) - base - 0.5)
             if d < best_d:
                 best_k, best_d = k, d
     return best_k
 
 
+# The connected-geometry rules: each maps (idx, depth, start) to the
+# contiguous query (s1, s2, node), where node is the heavy node
+# (level, index) the descent reached (the root for median), which a next
+# step may pass back as start.
+
+def _median_query(idx, depth: int, start: tuple) -> tuple:
+    return 1, _best_prefix_end(idx, 1, 0.0), _ROOT
+
+
+def _dya_query(idx, depth: int, start: tuple) -> tuple:
+    level, m, pref_lo, _, _ = _heaviest(idx, depth, start)
+    d = m * (1 << (depth - level)) + 1
+    return d, _best_prefix_end(idx, d, pref_lo), (level, m)
+
+
+def _hie_query(idx, depth: int, start: tuple) -> tuple:
+    level, m, pref_lo, pref_mid, pref_hi = _heaviest(idx, depth, start)
+    # a child no farther from 1/2 than the anchor wins, and of the two
+    # the left one unless the right one is strictly closer
+    index, width = m, 1 << (depth - level)
+    if level < depth:
+        d = abs(pref_hi - pref_lo - 0.5)
+        dl = abs(pref_mid - pref_lo - 0.5)
+        dr = abs(pref_hi - pref_mid - 0.5)
+        if dl <= d or dr <= d:
+            index, width = 2 * m + (dr < dl), width >> 1
+    return index * width + 1, (index + 1) * width, (level, m)
+
+
+_CONNECTED_QUERIES = {
+    StrategyKind.MEDIAN_PM: _median_query,
+    StrategyKind.DYA_PM: _dya_query,
+    StrategyKind.HIE_PM: _hie_query,
+}
+
+
 def _run_for(kind: "StrategyKind", idx, depth: int, start: tuple = _ROOT) -> tuple:
     """Contiguous query ``(s1, s2, node)`` for one of the connected-geometry
-    rules; ``node`` is the heavy node ``(level, index)`` the descent reached
-    (the root for median), which a next step may pass back as ``start``."""
-    if kind is StrategyKind.MEDIAN_PM:
-        return 1, _best_prefix_end(idx, 1, 0.0), _ROOT
-    if kind is StrategyKind.DYA_PM:
-        level, m, pref_lo, _, _ = _heaviest(idx, depth, start)
-        d = m * (1 << (depth - level)) + 1
-        return d, _best_prefix_end(idx, d, pref_lo), (level, m)
-    if kind is StrategyKind.HIE_PM:
-        level, m, pref_lo, pref_mid, pref_hi = _heaviest(idx, depth, start)
-        # a child no farther from 1/2 than the anchor wins, and of the two
-        # the left one unless the right one is strictly closer
-        index, width = m, 1 << (depth - level)
-        if level < depth:
-            d = abs(pref_hi - pref_lo - 0.5)
-            dl = abs(pref_mid - pref_lo - 0.5)
-            dr = abs(pref_hi - pref_mid - 0.5)
-            if dl <= d or dr <= d:
-                index, width = 2 * m + (dr < dl), width >> 1
-        return index * width + 1, (index + 1) * width, (level, m)
-    raise ValueError(f"no contiguous selection rule for {kind!r}")
+    rules (:data:`_CONNECTED_QUERIES`)."""
+    query = _CONNECTED_QUERIES.get(kind)
+    if query is None:
+        raise ValueError(f"no contiguous selection rule for {kind!r}")
+    return query(idx, depth, start)
 
 
 def _select_connected(kind: StrategyKind, post: Posterior, depth: int) -> QuerySet:

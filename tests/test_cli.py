@@ -116,6 +116,9 @@ class TestParsing:
             *(["sweep", "--strategy", "dya", "--L", "6", "--noise", "affine:0.1:0.5",
                "--n", spec, "--out", "x.csv"]  # malformed budget specs
               for spec in ("1:2:3:4", "5:", "3,,4", "1.5")),
+            ["simulate", "--strategy", "dya", "--L", "8", "--noise", "affine:0.1:0.5",
+             "--vl", "0.01", "--trials", "99999999999999999999",
+             "--out", "x.csv"],  # trial indices are int64
         ],
     )
     def test_usage_errors_exit_nonzero(self, argv, tmp_path, monkeypatch):
@@ -190,6 +193,17 @@ class TestParsing:
                         "--L", "8", "--noise", "affine:0.1:0.5", "--vl", "0.01",
                         "--out", "x.csv"])
         assert exc.value.code == 2
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe")
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["simulate", "--config", str(cfg), "--strategy", "sort",
+                        "--L", "8", "--noise", "affine:0.1:0.5", "--vl", "0.01",
+                        "--out", "x.csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot read config file" in err
 
     def test_manifest_json_round_trip(self, tmp_path):
         m = parse_args(["sweep", "--strategy", "sort", "--L", "12",

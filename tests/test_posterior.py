@@ -24,6 +24,8 @@ from noisysearch.posterior import (
     prefix_mass,
     query_mass,
 )
+from noisysearch.sim import SearchConfig, VariableLength, run_episode, trial_rng
+from noisysearch.strategies import StrategyKind
 
 AFFINE = AffineNoise(0.1, 0.5)
 NOISELESS = ConstantNoise(0.0, p_floor=0.0)
@@ -101,9 +103,16 @@ class TestDenseUpdate:
         with pytest.raises(ZeroLikelihoodError):
             _Runs([1, 3, 5], [0.5, 0.0]).update([True, False], 0, 0.0)
 
-    def test_bad_observation_rejected(self):
-        with pytest.raises(ValueError):
-            bayes_update_dense(PosteriorDense.uniform(4), QuerySet.from_run(1, 2), 2, AFFINE)
+    @pytest.mark.parametrize("y", (2, -1))
+    @pytest.mark.parametrize(
+        "update, post",
+        [(bayes_update_dense, PosteriorDense.uniform(4)),
+         (bayes_update_partition, PosteriorPartition.uniform(4))],
+        ids=("dense", "partition"),
+    )
+    def test_bad_observation_rejected(self, update, post, y):
+        with pytest.raises(ValueError, match="observation"):
+            update(post, QuerySet.from_run(1, 2), y, AFFINE)
 
 
 def runs_update(post: PosteriorDense, query: QuerySet, y: int, profile) -> tuple[np.ndarray, bool]:
@@ -295,6 +304,51 @@ class TestKernelLayout:
                 self.assert_sums(part)
                 part.update(n // 3 + 1, 2 * n // 3, 1, 0.2)
                 self.assert_sums(part)
+
+
+class TestHalfMassBound:
+    """Above ``1/2 + 2**-20``, the mass of the interval at the half-mass
+    point passes a threshold exactly when the largest interval mass does."""
+
+    THRESHOLDS = (0.5 + 2.0**-20 + 2.0**-40, 0.6, 0.999, 1.0 - 1e-9)
+
+    @pytest.mark.parametrize("L", (12, 20))
+    @pytest.mark.parametrize(
+        "kind", (StrategyKind.MEDIAN_PM, StrategyKind.DYA_PM, StrategyKind.HIE_PM),
+        ids=lambda k: k.value,
+    )
+    def test_agrees_with_the_largest_mass_along_episodes(self, kind, L, monkeypatch):
+        seen = {(t, above) for t in self.THRESHOLDS for above in (False, True)}
+        update = _Partition.update
+
+        def checked(part, s1, s2, y, p):
+            update(part, s1, s2, y, p)
+            for t in self.THRESHOLDS:
+                above = max(part.masses) > t
+                assert (part.half_mass_bound() > t) == above, (t, part.masses)
+                seen.discard((t, above))
+
+        monkeypatch.setattr(_Partition, "update", checked)
+        # stopping past 1 - 1e-12, so every threshold is crossed
+        cfg = SearchConfig(L=L, strategy=kind, profile=AFFINE,
+                           stopping=VariableLength(1e-12), seed=L)
+        for i in range(3):
+            run_episode(cfg, trial_rng(cfg.seed, i))
+        assert not seen
+
+    @pytest.mark.parametrize(
+        "masses, bound",
+        [([0.25, 0.5, 0.25], 0.5), ([0.5, 0.5], 0.5), ([0.25, 0.25, 0.5], 0.25),
+         ([0.2, 0.7, 0.1], 0.7), ([0.7, 0.3], 0.7), ([0.3, 0.7], 0.7)],
+    )
+    def test_hand_built_partitions(self, masses, bound):
+        # in [0.5, 0.5] and [0.25, 0.25, 0.5] a running sum is exactly 1/2:
+        # the interval that ends there is read
+        los = list(range(1, len(masses) + 2))
+        part = _Partition(los, masses, [0.0, *np.cumsum(masses).tolist()])
+        assert part.half_mass_bound() == bound
+        for t in self.THRESHOLDS:
+            assert (part.half_mass_bound() > t) == (max(masses) > t)
 
 
 class TestOracleEquivalence:

@@ -228,12 +228,30 @@ class TestProcessPolicy:
 
     def test_import_leaves_out_the_pool(self):
         code = ("import sys, noisysearch, noisysearch.cli; "
-                "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+                "print(sorted({'multiprocessing', 'concurrent.futures.process',"
+                " 'noisysearch._batch'} & set(sys.modules)))")
         src = str(Path(sim.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]"
+
+    def test_only_a_run_that_can_batch_loads_the_batch_engine(self):
+        code = (
+            "import dataclasses, sys\n"
+            "from noisysearch import *\n"
+            "cfg = SearchConfig(L=8, strategy=StrategyKind.DYA_PM, profile=AffineNoise(0.1, 0.5),"
+            " stopping=VariableLength(0.01), seed=3)\n"
+            "run_monte_carlo(cfg, 8)\n"
+            "print('noisysearch._batch' in sys.modules)\n"
+            "run_monte_carlo(dataclasses.replace(cfg, stopping=FixedLength(20)), 100)\n"
+            "print('noisysearch._batch' in sys.modules)\n"
+        )
+        src = str(Path(sim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["False", "True"]
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_one_batch_runs_in_the_calling_process(self, kind, inline_pool, monkeypatch):
@@ -696,6 +714,13 @@ class TestSummaries:
             run_monte_carlo(cfg, 10, workers=-1)
         with pytest.raises(ValueError, match="workers"):
             sweep_error_vs_queries(cfg, [2, 4], 10, workers=0)
+
+    def test_trials_past_int64_rejected(self):
+        cfg = config(L=6, strategy=StrategyKind.DYA_PM, seed=23)
+        with pytest.raises(ValueError, match="trials"):
+            run_monte_carlo(cfg, 2**63)
+        with pytest.raises(ValueError, match="trials"):
+            sweep_error_vs_queries(cfg, [2, 4], 10**20, workers=2)
 
     def test_non_integral_budgets_rejected(self):
         cfg = config(L=6, strategy=StrategyKind.DYA_PM, seed=23)
