@@ -130,7 +130,6 @@ def _best_prefix_end(idx, start: int, base: float) -> int:
 # contiguous query (s1, s2, node), where node is the heavy node
 # (level, index) the descent reached (the root for median), which a next
 # step may pass back as start.
-
 def _median_query(idx, depth: int, start: tuple) -> tuple:
     return 1, _best_prefix_end(idx, 1, 0.0), _ROOT
 

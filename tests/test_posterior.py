@@ -103,16 +103,14 @@ class TestDenseUpdate:
         with pytest.raises(ZeroLikelihoodError):
             _Runs([1, 3, 5], [0.5, 0.0]).update([True, False], 0, 0.0)
 
-    @pytest.mark.parametrize("y", (2, -1))
-    @pytest.mark.parametrize(
-        "update, post",
-        [(bayes_update_dense, PosteriorDense.uniform(4)),
-         (bayes_update_partition, PosteriorPartition.uniform(4))],
-        ids=("dense", "partition"),
-    )
-    def test_bad_observation_rejected(self, update, post, y):
-        with pytest.raises(ValueError, match="observation"):
-            update(post, QuerySet.from_run(1, 2), y, AFFINE)
+    def test_bad_observation_rejected(self):
+        # the partition kernel takes any truthy answer as 1, so its public
+        # wrapper checks the answer itself
+        for update, post in ((bayes_update_dense, PosteriorDense.uniform(4)),
+                             (bayes_update_partition, PosteriorPartition.uniform(4))):
+            for y in (2, -1):
+                with pytest.raises(ValueError, match="observation"):
+                    update(post, QuerySet.from_run(1, 2), y, AFFINE)
 
 
 def runs_update(post: PosteriorDense, query: QuerySet, y: int, profile) -> tuple[np.ndarray, bool]:
