@@ -372,7 +372,8 @@ def _best_prefix_end(batch: _Batch, start: np.ndarray, base: np.ndarray) -> np.n
 
 
 def _select(kind: StrategyKind, batch: _Batch, depth: int, level, m) -> tuple:
-    """Row-wise :func:`strategies._run_for`: ``(s1, s2, level, m)``."""
+    """Row-wise :data:`strategies._CONNECTED_QUERIES` rule of ``kind``:
+    ``(s1, s2, level, m)``."""
     rows = batch.r.size
     if kind is StrategyKind.MEDIAN_PM:
         ones = np.ones(rows, dtype=np.int64)

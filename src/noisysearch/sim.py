@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 STEP_CAP = 10**6
-# trial indices, and the unit edges of a run, are int64
+# the most trials a run takes, the int64 range (as ``simulate --trials``)
 _MAX_TRIALS = 2**63 - 1
 # uniforms per draw of a Monte Carlo trial's channel noise: one numpy call
 # per block instead of one per query
@@ -315,6 +315,18 @@ def _run(
     return rec, state
 
 
+def _checkpoints(steps: Sequence[int], name: str) -> tuple[int, ...]:
+    """``steps`` (the argument ``name``) as sorted, distinct positive ints;
+    a step that is not an integer is refused, not truncated."""
+    steps = list(steps)
+    if any(int(s) != s for s in steps):
+        raise ValueError(f"{name} must be integers, got {steps}")
+    cps = tuple(sorted(set(int(s) for s in steps)))
+    if not cps or cps[0] < 1:
+        raise ValueError(f"{name} must be non-empty positive integers")
+    return cps
+
+
 def run_episode(
     config: SearchConfig,
     rng: np.random.Generator,
@@ -335,9 +347,7 @@ def run_episode(
     """
     cps = None
     if checkpoint_steps is not None:
-        cps = tuple(sorted(set(int(s) for s in checkpoint_steps)))
-        if not cps or cps[0] < 1:
-            raise ValueError("checkpoint steps must be positive")
+        cps = _checkpoints(checkpoint_steps, "checkpoint_steps")
         if not isinstance(config.stopping, FixedLength) or cps[-1] > config.stopping.n:
             raise ValueError("checkpoints must lie within a fixed-length horizon")
     rec, _ = _run(config, rng, trace, cps)
@@ -397,40 +407,36 @@ def _draw_trials(config: SearchConfig, start: int, stop: int) -> tuple[np.ndarra
     return truth, uniforms
 
 
-def _count_trials(
-    config: SearchConfig, checkpoints: Optional[tuple[int, ...]], start: int, stop: int
-) -> tuple[np.ndarray, int]:
+def _count_trials(config: SearchConfig, checkpoints: Optional[tuple[int, ...]], start: int,
+                  stop: int, batches: int) -> tuple[np.ndarray, int]:
     """Counts over trials ``start..stop-1``: errors at each checkpoint (or of
     the final estimate, without checkpoints) and the sum of stopping times.
 
-    The trials run in units, each filling its targets and estimates for one
-    reduction: the lockstep batches of a batched run (:func:`_draw_trials`,
-    :func:`._batch.run_batch`), or else scalar :func:`_run` trials on kept
-    streams (:class:`_TrialStreams`).  The counts are :func:`run_episode`'s
-    on the same streams."""
-    errors = np.zeros(len(checkpoints) if checkpoints else 1, dtype=np.int64)
-    batched = _lockstep_batches(config, stop - start)
-    # a scalar unit's estimates hold at most _BATCH_CELLS cells, as a batch's arrays do
-    units = batched or -(-(stop - start) // max(1, _BATCH_CELLS // errors.size))
-    tau_sum = 0
-    edges = np.linspace(start, stop, units + 1, dtype=int).tolist()
-    for a, b in zip(edges[:-1], edges[1:]):
-        if batched:
-            from . import _batch
+    With ``batches``, the range is cut into that many near-equal lockstep
+    batches, each drawn (:func:`_draw_trials`), run
+    (:func:`._batch.run_batch`) and counted in one reduction.  Without, each
+    trial runs in turn on the scalar engine (:func:`_run` on kept streams)
+    and adds its misses to the counts as it ends.  The counts are
+    :func:`run_episode`'s on the same streams."""
+    misses = np.zeros(len(checkpoints) if checkpoints else 1, dtype=np.int64)
+    if batches:
+        from . import _batch
 
+        for i in range(batches):
+            a = start + (stop - start) * i // batches
+            b = start + (stop - start) * (i + 1) // batches
             truth, uniforms = _draw_trials(config, a, b)
             estimates = _batch.run_batch(config, checkpoints, truth, uniforms)
-            tau_sum += (b - a) * config.stopping.n
-        else:
-            truth = np.empty(b - a, dtype=np.int64)
-            estimates = np.empty((b - a, errors.size), dtype=np.int64)
-            for row, rng in enumerate(map(_TrialStreams(config.seed), range(a, b))):
-                rec, _ = _run(config, rng, False, checkpoints, _uniform_blocks(rng))
-                truth[row] = rec.truth
-                estimates[row] = rec.checkpoint_estimates or rec.estimate
-                tau_sum += rec.tau
-        errors += np.count_nonzero(estimates != truth[:, None], axis=0)
-    return errors, tau_sum
+            misses += np.count_nonzero(estimates != truth[:, None], axis=0)
+        return misses, (stop - start) * config.stopping.n
+    tau_sum = 0
+    streams = _TrialStreams(config.seed)
+    for i in range(start, stop):
+        rng = streams(i)
+        rec, _ = _run(config, rng, False, checkpoints, _uniform_blocks(rng))
+        tau_sum += rec.tau
+        misses += np.not_equal(rec.checkpoint_estimates or rec.estimate, rec.truth)
+    return misses, tau_sum
 
 
 def _map_trials(
@@ -438,10 +444,11 @@ def _map_trials(
 ) -> tuple[np.ndarray, int]:
     """:func:`_count_trials` over all trials, on at most ``workers`` and
     ``os.cpu_count()`` processes; the integer counts do not depend on the
-    chunking.  The run's units, its lockstep batches or else single trials,
-    are cut into at most four chunks per process, so a batch keeps its rows.
-    A run starts one process per chunk at most; a run of one chunk stays in
-    the calling process."""
+    chunking.  The one plan of a run: the engine is chosen once, and the
+    units, the run's lockstep batches or else single trials, are cut into at
+    most four chunks per process on integer edges, so a chunk holds whole
+    batches.  A run starts one process per chunk at most; a run of one chunk
+    stays in the calling process."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > _MAX_TRIALS:
@@ -449,18 +456,20 @@ def _map_trials(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    units = _lockstep_batches(config, trials) or trials
+    batches = _lockstep_batches(config, trials)
+    units = batches or trials
     chunks = min(4 * workers, units)
     workers = min(workers, chunks)
     if workers <= 1:
-        return _count_trials(config, checkpoints, 0, trials)
-    unit_starts = np.linspace(0, trials, units + 1, dtype=int)
-    edges = unit_starts[np.linspace(0, units, chunks + 1, dtype=int)].tolist()
+        return _count_trials(config, checkpoints, 0, trials, batches)
+    # chunk c starts at unit units * c // chunks, unit u at trial trials * u // units
+    cuts = [units * c // chunks for c in range(chunks + 1)]
     from concurrent.futures import ProcessPoolExecutor  # only runs that start a pool pay for it
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_count_trials, config, checkpoints, a, b)
-                   for a, b in zip(edges[:-1], edges[1:])]
+        futures = [pool.submit(_count_trials, config, checkpoints, trials * u // units,
+                               trials * v // units, v - u if batches else 0)
+                   for u, v in zip(cuts, cuts[1:])]
         counts = [fut.result() for fut in futures]
     return sum(e for e, _ in counts), sum(ts for _, ts in counts)
 
@@ -506,11 +515,7 @@ def sweep_error_vs_queries(
     the largest budget and read off at every checkpoint), so the resulting
     curves are directly comparable point by point.
     """
-    if any(int(v) != v for v in n_values):
-        raise ValueError(f"n_values must be integers, got {list(n_values)}")
-    ns = tuple(sorted(set(int(v) for v in n_values)))
-    if not ns or ns[0] < 1:
-        raise ValueError("n_values must be non-empty positive integers")
+    ns = _checkpoints(n_values, "n_values")
     sweep_config = replace(config, stopping=FixedLength(ns[-1]))
     errors, _ = _map_trials(sweep_config, ns, trials, workers)
     return [

@@ -161,19 +161,10 @@ _CONNECTED_QUERIES = {
 }
 
 
-def _run_for(kind: "StrategyKind", idx, depth: int, start: tuple = _ROOT) -> tuple:
-    """Contiguous query ``(s1, s2, node)`` for one of the connected-geometry
-    rules (:data:`_CONNECTED_QUERIES`)."""
-    query = _CONNECTED_QUERIES.get(kind)
-    if query is None:
-        raise ValueError(f"no contiguous selection rule for {kind!r}")
-    return query(idx, depth, start)
-
-
 def _select_connected(kind: StrategyKind, post: Posterior, depth: int) -> QuerySet:
     if kind is not StrategyKind.MEDIAN_PM:
         _check_dyadic(post, depth)
-    s1, s2, _ = _run_for(kind, _prefix_index(post), depth)
+    s1, s2, _ = _CONNECTED_QUERIES[kind](_prefix_index(post), depth, _ROOT)
     return QuerySet.from_run(s1, s2)
 
 

@@ -350,7 +350,7 @@ def test_hie_choice_on_ties():
     for row, masses in enumerate(cases):
         cums = np.cumsum((0.0,) + masses)
         part = _Partition([1, 3, 5, 9], list(masses), cums.tolist())
-        assert strategies._run_for(StrategyKind.HIE_PM, part, 3)[:2] == cases[masses]
+        assert strategies._hie_query(part, 3, strategies._ROOT)[:2] == cases[masses]
         batch.masses[row, :3] = masses
         batch.cums[row, :4] = cums
     root = np.zeros(len(cases), dtype=np.int64)
@@ -400,15 +400,14 @@ def test_batches_of_37_and_150_rows(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-def test_counts_equal_scalar_counts(kind, monkeypatch):
+def test_counts_equal_scalar_counts(kind):
     # 137 trials at rows of 603 cells (at most 108 rows a batch) run as
     # batches of 68 and 69
     cfg = config(kind, 10, PROFILES["affine"], horizon(kind, 603))
     cps = (5, 50, 120, 200)
     assert sim._lockstep_batches(cfg, 137) == 2
-    batched = sim._count_trials(cfg, cps, 3, 140)
-    monkeypatch.setattr(sim, "_lockstep_batches", lambda config, trials: 0)
-    scalar = sim._count_trials(cfg, cps, 3, 140)
+    batched = sim._count_trials(cfg, cps, 3, 140, 2)
+    scalar = sim._count_trials(cfg, cps, 3, 140, 0)
     assert np.array_equal(batched[0], scalar[0]) and batched[1] == scalar[1]
 
 

@@ -151,7 +151,7 @@ class TestDeterminism:
             errors = np.sum([[e != r.truth for e in est] for r, est in zip(records, estimates)], 0)
             assert errors.any()
             assert sim._lockstep_batches(cfg, 40) == 0
-            counts, tau_sum = sim._count_trials(cfg, cps, 5, 45)
+            counts, tau_sum = sim._count_trials(cfg, cps, 5, 45, 0)
             assert counts.tolist() == errors.tolist()
             assert tau_sum == sum(r.tau for r in records)
             for i in (5, 6):
@@ -159,18 +159,6 @@ class TestDeterminism:
                 assert episode_final_posterior(cfg, i).mass.tolist() == (
                     state.freeze().mass.tolist()
                 )
-
-    def test_scalar_units_give_the_counts_of_one(self, monkeypatch):
-        # 40 scalar trials at a cell budget of 7 estimates per checkpoint:
-        # six units, each counted on its own
-        for stopping, cps in ((VariableLength(0.2), None), (FixedLength(30), (4, 11, 30))):
-            cfg = config(L=8, strategy=StrategyKind.DYA_PM, stopping=stopping, seed=17)
-            whole, whole_tau = sim._count_trials(cfg, cps, 5, 45)
-            with monkeypatch.context() as m:
-                m.setattr(sim, "_BATCH_CELLS", 7 * len(cps or (0,)))
-                units, units_tau = sim._count_trials(cfg, cps, 5, 45)
-            assert whole.any()
-            assert units.tolist() == whole.tolist() and units_tau == whole_tau
 
     def test_monte_carlo_worker_invariance(self):
         cfg = config(strategy=StrategyKind.DYA_PM, L=7, seed=12)
@@ -292,6 +280,42 @@ class TestProcessPolicy:
         )
         assert inline_pool == [2]
         assert rows == [108, 108] * 2
+
+    def test_largest_run_is_planned_in_python_ints(self, inline_pool, monkeypatch):
+        # 2**63 - 1 scalar trials on two processes: the chunks tile the run
+        # with exact edges, and nothing of the run's size is built first
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        calls = []
+
+        def record(config, checkpoints, start, stop, batches):
+            calls.append((start, stop, batches))
+            return np.zeros(1, dtype=np.int64), 0
+
+        monkeypatch.setattr(sim, "_count_trials", record)
+        run_monte_carlo(config(), 2**63 - 1, workers=2)
+        assert inline_pool == [2]
+        assert 2 <= len(calls) <= 8
+        assert all(type(a) is int and type(b) is int and n == 0 for a, b, n in calls)
+        assert [a for a, _, _ in calls] == [0] + [b for _, b, _ in calls[:-1]]
+        assert calls[-1][1] == 2**63 - 1
+
+    def test_scalar_chunk_starts_without_building_its_range(self, monkeypatch):
+        # the third trial of a 2**63 - 1 trial chunk is reached at once
+        run = sim._run
+        calls = []
+
+        class Reached(Exception):
+            pass
+
+        def third_raises(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise Reached
+            return run(*args)
+
+        monkeypatch.setattr(sim, "_run", third_raises)
+        with pytest.raises(Reached):
+            sim._count_trials(config(), None, 0, 2**63 - 1, 0)
 
     @pytest.mark.parametrize("trials", (3000, 20_000))
     def test_chunks_hold_whole_batches(self, trials, inline_pool, monkeypatch):
@@ -564,6 +588,10 @@ class TestCheckpointPrefixProperty:
         cfg = config()
         with pytest.raises(ValueError):
             run_episode(cfg, trial_rng(0, 0), checkpoint_steps=[2, 4])
+        # steps that are not integers are refused, not read as steps 2 and 7
+        fl = dataclasses.replace(cfg, stopping=FixedLength(20))
+        with pytest.raises(ValueError, match="integers"):
+            run_episode(fl, trial_rng(0, 0), checkpoint_steps=[2.5, 7.9])
 
 
 class TestNoiselessMonteCarlo:
