@@ -418,10 +418,10 @@ def _count_trials(config: SearchConfig, checkpoints: Optional[tuple[int, ...]], 
     trial runs in turn on the scalar engine (:func:`_run` on kept streams)
     and adds its misses to the counts as it ends.  The counts are
     :func:`run_episode`'s on the same streams."""
-    misses = np.zeros(len(checkpoints) if checkpoints else 1, dtype=np.int64)
     if batches:
         from . import _batch
 
+        misses = np.zeros(len(checkpoints) if checkpoints else 1, dtype=np.int64)
         for i in range(batches):
             a = start + (stop - start) * i // batches
             b = start + (stop - start) * (i + 1) // batches
@@ -429,14 +429,16 @@ def _count_trials(config: SearchConfig, checkpoints: Optional[tuple[int, ...]], 
             estimates = _batch.run_batch(config, checkpoints, truth, uniforms)
             misses += np.count_nonzero(estimates != truth[:, None], axis=0)
         return misses, (stop - start) * config.stopping.n
+    misses = [0] * (len(checkpoints) if checkpoints else 1)
     tau_sum = 0
     streams = _TrialStreams(config.seed)
     for i in range(start, stop):
         rng = streams(i)
         rec, _ = _run(config, rng, False, checkpoints, _uniform_blocks(rng))
         tau_sum += rec.tau
-        misses += np.not_equal(rec.checkpoint_estimates or rec.estimate, rec.truth)
-    return misses, tau_sum
+        for j, estimate in enumerate(rec.checkpoint_estimates or (rec.estimate,)):
+            misses[j] += estimate != rec.truth
+    return np.array(misses, dtype=np.int64), tau_sum
 
 
 def _map_trials(
