@@ -117,6 +117,15 @@ def _coefficients(profile: NoiseProfile) -> tuple[float, float]:
     return profile.p, 0.0
 
 
+def _check_informative(profile: NoiseProfile) -> None:
+    """Refuse a profile under which a half-size query, the size every rule
+    asks, carries no information: the unclamped p(1/2) must be below 1/2
+    (so a nan or inf coefficient is refused too)."""
+    a, b = _coefficients(profile)
+    if not (a + 0.5 * b < 0.5):
+        raise ValueError(f"noise {profile} is uninformative: p(1/2) must be < 0.5")
+
+
 def noise_for_size(profile: NoiseProfile, size_fraction: float) -> float:
     """Like :func:`eval_noise`, but saturating for supra-half query sets.
 

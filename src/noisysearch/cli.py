@@ -22,28 +22,20 @@ import csv
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TextIO
 
-from .channel import (
-    AffineNoise,
-    ConstantNoise,
-    NoiseProfile,
-    _coefficients,
-    binary_entropy,
-    eval_noise,
-)
+from .channel import AffineNoise, ConstantNoise, NoiseProfile, _check_informative, _coefficients
 from .errors import NoisySearchError
 from .sim import (
-    _MAX_TRIALS,
     STEP_CAP,
     FixedLength,
     MonteCarloSummary,
     SearchConfig,
     VariableLength,
+    _check_run,
     episode_final_posterior,
     run_monte_carlo,
     sweep_error_vs_queries,
@@ -174,9 +166,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-def _flag_value(action: argparse.Action, val):
-    """``val`` as the type of the flag ``action`` parses; it must already have
-    that type ("12" is not an int) and be one of the flag's choices."""
+def _flag_value(action: argparse.Action, val) -> None:
+    """Refuse ``val`` unless it has the type of the flag ``action`` parses
+    ("12" is not an int) and is one of the flag's choices."""
     typ = action.type or str
     allowed = (int, float) if typ is float else typ
     if isinstance(val, bool) or not isinstance(val, allowed) or (
@@ -185,7 +177,6 @@ def _flag_value(action: argparse.Action, val):
         raise TypeError(
             f"value {action.dest!r}: {val!r} is not valid for {action.option_strings[0]}"
         )
-    return typ(val)
 
 
 def _option(dest: str) -> str:
@@ -212,14 +203,10 @@ def parse_args(argv: Sequence[str]) -> RunManifest:
             parser.error(f"cannot read config file {config_path!r}: {exc}")
         if not isinstance(overrides, dict):
             parser.error(f"config file {config_path!r} must hold a JSON object")
-        actions = {a.dest: a for a in subparsers[values["subcommand"]]._actions}
-        for key, val in overrides.items():
-            if key not in values or key not in actions:
+        flags = {a.dest for a in subparsers[values["subcommand"]]._actions}
+        for key, val in overrides.items():  # _plan checks the values
+            if key not in values or key not in flags:
                 parser.error(f"config file key {key!r} is not a flag of {values['subcommand']}")
-            try:
-                val = _flag_value(actions[key], val)
-            except TypeError as exc:
-                parser.error(f"config file {exc}")
             if values[key] is None:
                 values[key] = val
 
@@ -309,9 +296,7 @@ def _plan(m: RunManifest) -> Callable[[TextIO, Optional[TextIO]], None]:
     require("noise")
     require("out")
     profile = parse_noise(m.noise)
-    a, b = _coefficients(profile)
-    if not (a + 0.5 * b < 0.5):
-        raise ValueError(f"noise {m.noise!r} is uninformative: p(1/2) must be < 0.5")
+    _check_informative(profile)
 
     if sub == "frontier":
         def frontier(out: TextIO, dump: Optional[TextIO]) -> None:
@@ -350,13 +335,6 @@ def _plan(m: RunManifest) -> Callable[[TextIO, Optional[TextIO]], None]:
         return bounds
 
     require("strategy")
-    if m.trials < 1:
-        raise ValueError("--trials must be >= 1")
-    if m.trials > _MAX_TRIALS:
-        raise ValueError(f"--trials must be <= {_MAX_TRIALS}")
-    if m.workers < 1:
-        raise ValueError("--workers must be >= 1")
-
     search = functools.partial(SearchConfig, L=m.L, strategy=StrategyKind(m.strategy),
                                profile=profile, seed=m.seed)
 
@@ -364,6 +342,7 @@ def _plan(m: RunManifest) -> Callable[[TextIO, Optional[TextIO]], None]:
         require("n_spec")
         budgets = parse_n_values(m.n_spec)
         config = search(stopping=FixedLength(max(budgets)))
+        _check_run(config, m.trials, m.workers)
 
         def sweep(out: TextIO, dump: Optional[TextIO]) -> None:
             results = sweep_error_vs_queries(config, budgets, m.trials, workers=m.workers)
@@ -380,18 +359,7 @@ def _plan(m: RunManifest) -> Callable[[TextIO, Optional[TextIO]], None]:
         config = search(stopping=FixedLength(m.fl) if kind == "fl" else VariableLength(m.vl))
     except ValueError as exc:
         raise ValueError(f"--{kind}: {exc}") from None
-    if kind == "vl":
-        # Fano's converse: no answer carries more than 1 - h(p(0)) bits, so
-        # mean tau is at least this; a trial's tau spreads above its mean, so
-        # past half the step cap trials would reach the cap
-        info = 1.0 - binary_entropy(eval_noise(profile, 0.0))
-        need = (1.0 - m.vl) * m.L - binary_entropy(m.vl)
-        converse = need / info if info > 0.0 else math.inf
-        if converse > STEP_CAP / 2:
-            raise ValueError(
-                f"noise {m.noise!r} needs at least {converse:.3g} queries per search "
-                f"to --vl {m.vl!r} at --L {m.L}, above half the {STEP_CAP}-step cap"
-            )
+    _check_run(config, m.trials, m.workers)
     if m.dump_partition is not None:
         if m.strategy == "sort":
             raise ValueError("--dump-partition needs a connected-geometry strategy")

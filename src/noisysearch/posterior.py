@@ -275,14 +275,6 @@ def _check_observation(y: int) -> None:
         raise ValueError(f"observation must be 0 or 1, got {y}")
 
 
-def _likelihoods(y: int, p: float) -> tuple[float, float]:
-    """(likelihood inside query, likelihood outside) for observation ``y``."""
-    _check_observation(y)
-    if y == 1:
-        return 1.0 - p, p
-    return p, 1.0 - p
-
-
 def bayes_update_dense(
     post: PosteriorDense, query: QuerySet, y: int, profile: NoiseProfile
 ) -> PosteriorDense:
@@ -296,7 +288,8 @@ def bayes_update_dense(
     """
     n = post.n_bins
     p = noise_for_size(profile, query.size_fraction(n))
-    in_lik, out_lik = _likelihoods(y, p)
+    _check_observation(y)
+    in_lik, out_lik = (1.0 - p, p) if y else (p, 1.0 - p)
     member = query.member_mask(n)
     heads = _run_heads(post.mass, member)
     widths = np.append(heads[1:], n) - heads
@@ -545,13 +538,15 @@ class _Runs:
         return flags, size + j
 
     def update(self, flags: Sequence, y: int, p: float) -> None:
-        """Bayes step for the query made of the runs flagged in ``flags``.
+        """Bayes step for the query made of the runs flagged in ``flags``,
+        answered ``y`` (0 or 1, or a bool; the caller checks it) with
+        crossover ``p``.
 
         The normalizer sums value times width over the runs in index order;
         neighbours whose values become equal are merged.  Most steps merge
         none, and keep the run bounds as they are.
         """
-        in_lik, out_lik = _likelihoods(y, p)
+        in_lik, out_lik = (1.0 - p, p) if y else (p, 1.0 - p)
         new = [v * (in_lik if f else out_lik) for v, f in zip(self.vals, flags)]
         los = self.los
         total = 0.0

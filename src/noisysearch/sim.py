@@ -17,6 +17,7 @@ hold the values of single draws, so a trial gives the same episode as
 from __future__ import annotations
 
 import math
+import operator
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -24,7 +25,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .channel import NoiseProfile, _coefficients, _crossover
+from .channel import NoiseProfile, _check_informative, _coefficients, _crossover, binary_entropy
 from .errors import CapExceededError, ContractViolationError
 from .posterior import Posterior, _Partition, _Runs
 from .strategies import _CONNECTED_QUERIES, _HEAVY_MARGIN, _ROOT, StrategyKind
@@ -53,13 +54,23 @@ _UNIFORM_BLOCK = 64
 _WILSON_Z95 = 1.959963984540054
 
 
+def _int_in(name: str, value, lo: int, hi: float) -> None:
+    """Refuse ``value`` (the argument ``name``) unless it is an integer in
+    ``lo..hi``: a float, even 5.0, is refused, as :func:`operator.index` does."""
+    try:
+        ok = lo <= operator.index(value) <= hi
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be in {lo}..{hi}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FixedLength:
     n: int
 
     def __post_init__(self) -> None:
-        if not (1 <= self.n <= STEP_CAP):
-            raise ValueError(f"fixed length must be in 1..{STEP_CAP}, got {self.n}")
+        _int_in("fixed length", self.n, 1, STEP_CAP)
 
 
 @dataclass(frozen=True)
@@ -92,10 +103,9 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         # 2**L bins must fit the int64 draw of the target
-        if not (0 <= self.L <= 62):
-            raise ValueError(f"L must be in 0..62, got {self.L}")
-        if self.target is not None and not (1 <= self.target <= self.n_bins):
-            raise ValueError(f"target must be in 1..{self.n_bins}, got {self.target}")
+        _int_in("L", self.L, 0, 62)
+        if self.target is not None:
+            _int_in("target", self.target, 1, self.n_bins)
 
     @property
     def n_bins(self) -> int:
@@ -441,6 +451,26 @@ def _count_trials(config: SearchConfig, checkpoints: Optional[tuple[int, ...]], 
     return np.array(misses, dtype=np.int64), tau_sum
 
 
+def _check_run(config: SearchConfig, trials: int, workers: int) -> None:
+    """Refuse a Monte Carlo run that is malformed or would not stop: a trial
+    or worker count out of range, or, under variable length, a channel that
+    is uninformative or whose Fano converse passes half the step cap."""
+    _int_in("trials", trials, 1, _MAX_TRIALS)
+    _int_in("workers", workers, 1, math.inf)
+    if isinstance(config.stopping, VariableLength):
+        profile, eps = config.profile, config.stopping.epsilon
+        _check_informative(profile)
+        # Fano's converse: no answer carries more than 1 - h(p(0)) bits, so
+        # mean tau is at least this; a trial's tau spreads above its mean, so
+        # past half the step cap trials would reach the cap
+        info = 1.0 - binary_entropy(_crossover(*_coefficients(profile), profile.p_floor, 0.0))
+        need = (1.0 - eps) * config.L - binary_entropy(eps)
+        converse = need / info if info > 0.0 else math.inf
+        if converse > STEP_CAP / 2:
+            raise ValueError(f"noise {profile} needs at least {converse:.3g} queries per search "
+                             f"to eps {eps!r} at L {config.L}, above half the {STEP_CAP}-step cap")
+
+
 def _map_trials(
     config: SearchConfig, checkpoints: Optional[tuple[int, ...]], trials: int, workers: int
 ) -> tuple[np.ndarray, int]:
@@ -451,12 +481,7 @@ def _map_trials(
     most four chunks per process on integer edges, so a chunk holds whole
     batches.  A run starts one process per chunk at most; a run of one chunk
     stays in the calling process."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if trials > _MAX_TRIALS:
-        raise ValueError(f"trials must be <= {_MAX_TRIALS}, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_run(config, trials, workers)
     workers = min(workers, os.cpu_count() or 1)
     batches = _lockstep_batches(config, trials)
     units = batches or trials

@@ -98,6 +98,11 @@ class TestEvalNoise:
             AffineNoise(0.1, -0.5)
         with pytest.raises(ValueError):
             ConstantNoise(1.5)
+        for floor in (-0.1, 0.5):
+            with pytest.raises(ValueError, match="p_floor"):
+                AffineNoise(0.1, 0.5, p_floor=floor)
+            with pytest.raises(ValueError, match="p_floor"):
+                ConstantNoise(0.1, p_floor=floor)
 
 
 class TestSampleObservation:
@@ -185,6 +190,18 @@ class TestEntropyAndDivergences:
 
     def test_c1_at_zero_is_infinite(self):
         assert reliability_c1(0.0) == math.inf
+
+    def test_out_of_range_probabilities_rejected(self):
+        for q in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="probability must be in"):
+                binary_entropy(q)
+            with pytest.raises(ValueError, match="probabilities must be in"):
+                kl_bernoulli(q, 0.5)
+            with pytest.raises(ValueError, match="probabilities must be in"):
+                kl_bernoulli(0.5, q)
+        for p in (-0.1, 0.6):
+            with pytest.raises(ValueError, match="p must be in"):
+                reliability_c1(p)
 
 
 class TestInvariants:

@@ -9,6 +9,7 @@ import pytest
 from noisysearch import cli
 from noisysearch.cli import RunManifest, execute, main, parse_args, parse_n_values, parse_noise
 from noisysearch.channel import AffineNoise, ConstantNoise
+from noisysearch.errors import ContractViolationError
 
 
 def read_bytes(path):
@@ -52,6 +53,8 @@ class TestParsing:
             parse_noise("affine:0.1")
         with pytest.raises(ValueError):
             parse_noise("poisson:2.0")
+        with pytest.raises(ValueError, match="bad noise spec 'affine:x:0.5'"):
+            parse_noise("affine:x:0.5")
 
     def test_unsupported_strategy_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -119,6 +122,9 @@ class TestParsing:
             ["simulate", "--strategy", "dya", "--L", "8", "--noise", "affine:0.1:0.5",
              "--vl", "0.01", "--trials", "99999999999999999999",
              "--out", "x.csv"],  # trial indices are int64
+            ["simulate", "--config", "[1, 2]", "--strategy", "dya", "--L", "4",
+             "--noise", "affine:0.1:0.5", "--vl", "0.01",
+             "--out", "x.csv"],  # config file not a JSON object
         ],
     )
     def test_usage_errors_exit_nonzero(self, argv, tmp_path, monkeypatch):
@@ -406,6 +412,13 @@ class TestExecution:
                                  "alpha": 0.015625}, id="bounds-vl-underflow"),
             pytest.param(False, {"noise": "constant:0.499", "L": 8, "vl": 0.1},
                          id="converse-over-step-cap"),
+            pytest.param(False, {"subcommand": "frontier", "strategy": None, "L": None,
+                                 "vl": None, "trials": 5}, id="frontier-takes-no-trials"),
+            pytest.param(False, {"subcommand": "frontier", "strategy": None, "L": None,
+                                 "vl": None, "noise": "constant:0.5"},
+                         id="frontier-uninformative-noise"),
+            pytest.param(False, {"subcommand": "sweep", "vl": None, "n_spec": "5,10",
+                                 "workers": 0}, id="sweep-no-workers"),
             *(pytest.param(False, {"subcommand": "sweep", "vl": None, "n_spec": spec},
                            id=f"sweep-n-{spec}")
               for spec in ("1:2:3:4", "5:", "3,,4", "1.5")),
@@ -434,6 +447,18 @@ class TestExecution:
                      "--out", str(tmp_path / "missing" / "out.csv")])
         assert code == 2
         assert "i/o error" in capsys.readouterr().err
+
+    def test_internal_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ContractViolationError("posterior has 9 intervals after 2 queries")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", broken)
+        code = main(["simulate", "--strategy", "dya", "--L", "5",
+                     "--noise", "affine:0.1:0.5", "--vl", "0.01", "--trials", "5",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "internal error" in err
 
     @pytest.mark.parametrize("flag", ["--out", "--dump-partition"])
     def test_unwritable_output_fails_before_the_run(self, flag, tmp_path, monkeypatch, capsys):

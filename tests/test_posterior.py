@@ -61,12 +61,16 @@ class TestQuerySet:
             QuerySet(((3, 2),))
         with pytest.raises(ValueError):
             QuerySet(())
+        with pytest.raises(ValueError, match="non-empty"):
+            QuerySet.from_indices([])
 
     def test_member_mask_and_size(self):
         qs = QuerySet.from_indices([2, 5, 6])
         mask = qs.member_mask(8)
         assert list(np.flatnonzero(mask) + 1) == [2, 5, 6]
         assert qs.size_fraction(8) == pytest.approx(3 / 8)
+        with pytest.raises(ValueError, match="exceeds range"):
+            qs.member_mask(5)
 
     @given(hs.sets(hs.integers(1, 64), min_size=1, max_size=64))
     @settings(max_examples=200, deadline=None)
@@ -200,6 +204,9 @@ class TestPartitionUpdate:
             bayes_update_partition(
                 PosteriorPartition.uniform(8), QuerySet.from_indices([1, 4]), 1, AFFINE
             )
+        with pytest.raises(ValueError, match="exceeds range"):
+            bayes_update_partition(PosteriorPartition.uniform(8), QuerySet.from_run(5, 9),
+                                   1, AFFINE)
 
     def test_boundary_queries_add_no_empty_intervals(self):
         part = bayes_update_partition(
@@ -348,6 +355,17 @@ class TestHalfMassBound:
         for t in self.THRESHOLDS:
             assert (part.half_mass_bound() > t) == (max(masses) > t)
 
+    def test_margin_above_one_half(self):
+        # a total of 1 + 2**-52, within the proof's 1 + (2K + 2)u for K = 2:
+        # the running sum reaches 1/2 one interval before the largest mass,
+        # so just above 1/2 the half-mass bound misses a mass the largest
+        # passes, which is why the engine switches only past 1/2 + 2**-20
+        part = _Partition([1, 2, 3], [0.5, 0.5 + 2**-52], [0.0, 0.5, 1 + 2**-52])
+        assert part.cums[-1] <= 1 + (2 * 2 + 2) * 2**-53
+        assert part.half_mass_bound() == 0.5 <= 0.5 + 2**-53 < part.peak_bound()
+        for t in self.THRESHOLDS:
+            assert (part.half_mass_bound() > t) == (part.peak_bound() > t)
+
 
 class TestOracleEquivalence:
     """The partition chain must track the dense chain exactly."""
@@ -405,6 +423,9 @@ class TestFlattenAndPrefix:
         qs = QuerySet.from_indices([1, 2, 7, 8])
         assert query_mass(part, qs) == pytest.approx(0.2 + 0.3, abs=1e-12)
         assert query_mass(flatten(part), qs) == pytest.approx(0.5, abs=1e-12)
+        for post in (part, flatten(part)):
+            with pytest.raises(ValueError, match="exceeds range"):
+                query_mass(post, QuerySet.from_run(7, 9))
 
 
 class TestAvgLogLikelihood:
@@ -463,6 +484,25 @@ class TestValidation:
     def test_dense_rejects_negative(self):
         with pytest.raises(ValueError):
             dense(1.1, -0.1)
+
+    @pytest.mark.parametrize("mass", [[], [[0.5, 0.5]]])
+    def test_dense_must_be_a_non_empty_vector(self, mass):
+        with pytest.raises(ValueError, match="1-D"):
+            PosteriorDense(np.array(mass))
+
+    @pytest.mark.parametrize(
+        "lo, hi, mass, match",
+        [
+            ([], [], [], "non-empty 1-D"),
+            ([[1]], [[4]], [[1.0]], "non-empty 1-D"),
+            ([1, 3], [2, 4], [1.0], "equal length"),
+            ([1, 3], [2, 2], [0.5, 0.5], "lo <= hi"),
+            ([1, 5], [4, 8], [1.5, -0.5], "non-negative"),
+        ],
+    )
+    def test_partition_shape_and_sign(self, lo, hi, mass, match):
+        with pytest.raises(ValueError, match=match):
+            PosteriorPartition(np.array(lo), np.array(hi), np.array(mass))
 
     def test_partition_requires_contiguity(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
 from itertools import accumulate
 from pathlib import Path
@@ -754,7 +755,40 @@ class TestSummaries:
         cfg = config(L=6, strategy=StrategyKind.DYA_PM, seed=23)
         with pytest.raises(ValueError, match="integers"):
             sweep_error_vs_queries(cfg, [2.7, 3.2], 10)
+        with pytest.raises(ValueError, match="positive"):
+            sweep_error_vs_queries(cfg, [0, 4], 10)
         assert [n for n, _ in sweep_error_vs_queries(cfg, [2.0, 3], 10)] == [2, 3]
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(lambda: run_monte_carlo(config(stopping=FixedLength(2.5)), 3),
+                         id="fixed-length-2.5"),
+            pytest.param(lambda: run_monte_carlo(config(stopping=FixedLength(5.0)), 200),
+                         id="fixed-length-5.0"),
+            pytest.param(lambda: run_monte_carlo(config(L=2.5), 3), id="L-2.5"),
+            pytest.param(lambda: run_monte_carlo(config(target=2.5), 3), id="target-2.5"),
+            pytest.param(lambda: run_monte_carlo(config(), 2.5), id="trials-2.5"),
+            pytest.param(lambda: run_monte_carlo(config(), 3, workers=1.5), id="workers-1.5"),
+            # Fano's converse puts mean tau near 2.3e6 queries, past half the cap
+            pytest.param(lambda: run_monte_carlo(config(L=8, profile=ConstantNoise(0.499),
+                                                        stopping=VariableLength(0.1)), 1),
+                         id="converse-over-step-cap"),
+            # p(1/2) = 1/2: a half-size query carries no information
+            pytest.param(lambda: run_monte_carlo(config(L=4, profile=AffineNoise(0.1, 0.8),
+                                                        stopping=VariableLength(0.1)), 1),
+                         id="uninformative-noise"),
+        ],
+    )
+    def test_bad_run_refused_before_any_trial(self, run, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a refused run must not start a trial")
+
+        monkeypatch.setattr(sim, "_run", no_trial)
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            run()
+        assert time.perf_counter() - start < 1.0
 
     def test_episode_record_is_plain_data(self):
         rec = EpisodeRecord(

@@ -14,6 +14,7 @@ from noisysearch.channel import (
     reliability_c1,
     sample_observation,
 )
+from noisysearch.errors import ContractViolationError
 from noisysearch.posterior import (
     PosteriorDense,
     PosteriorPartition,
@@ -72,6 +73,8 @@ class TestTreeNode:
     def test_bad_node(self):
         with pytest.raises(ValueError):
             TreeNode(1, 2)
+        with pytest.raises(ValueError, match="exceeds tree depth"):
+            TreeNode(2, 1).interval(1)
 
 
 class TestMedianPM:
@@ -122,6 +125,10 @@ class TestSortPM:
     def test_non_contiguous_result(self):
         qs = select_sort_pm(dense(0.25, 0.05, 0.25, 0.05, 0.2, 0.2))
         assert qs.runs == ((1, 1), (3, 3))
+
+    def test_partition_input_rejected(self):
+        with pytest.raises(TypeError, match="dense representation"):
+            select_sort_pm(PosteriorPartition.uniform(4))
 
     def test_half_mass_optimality_exhaustive(self):
         rng = np.random.default_rng(17)
@@ -209,6 +216,11 @@ class TestSortPMKernel:
             assert (encoded.los, encoded.vals) == (runs.los, runs.vals)
             assert len(runs) <= t + 1
 
+
+    def test_mass_below_half_is_a_contract_violation(self):
+        # runs that hold 0.4 in all cannot reach the half mass
+        with pytest.raises(ContractViolationError, match="below 1/2"):
+            _Runs([1, 3], [0.2]).select()
 
     def test_update_equals_the_rebuilding_loop(self):
         # the update that keeps its run bounds when no neighbours merge gives
@@ -533,6 +545,10 @@ class TestNestedLogLik:
     def test_level_above_depth_rejected(self):
         with pytest.raises(ValueError):
             nested_loglik(PosteriorDense.uniform(4), 3)
+
+    def test_non_dyadic_bin_count_rejected(self):
+        with pytest.raises(ValueError, match="power-of-two"):
+            nested_loglik(PosteriorDense.uniform(6), 1)
 
     def test_full_depth_equals_plain_avg_loglik(self):
         post = dense(0.1, 0.2, 0.3, 0.4)

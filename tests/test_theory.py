@@ -190,6 +190,21 @@ class TestTauUpperBound:
         with pytest.raises(ValueError):
             tau_upper_bound(StrategyKind.MEDIAN_PM, AFFINE, 2.0**-10, 1e-3, 0.25)
 
+    @pytest.mark.parametrize(
+        "delta, eps, alpha, name",
+        [
+            (2.0**-10, 0.0, 0.25, "epsilon"),
+            (2.0**-10, 1.5, 0.25, "epsilon"),
+            (0.0, 1e-3, 0.25, "delta"),
+            (0.75, 1e-3, 0.25, "delta"),
+            (2.0**-10, 1e-3, 0.0, "alpha"),
+            (2.0**-10, 1e-3, 0.75, "alpha"),
+        ],
+    )
+    def test_out_of_range_inputs_rejected(self, delta, eps, alpha, name):
+        with pytest.raises(ValueError, match=f"{name} must be in"):
+            tau_upper_bound(StrategyKind.SORT_PM, AFFINE, delta, eps, alpha)
+
     def test_monotone_in_alpha_noise(self):
         # larger alpha -> noisier queries at the leading scale -> larger bound
         reps = [
