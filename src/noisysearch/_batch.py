@@ -12,6 +12,8 @@ the same operands in the same order, so each row's queries, posterior and
 estimates are bit for bit those of :func:`sim._run` on the same stream.  In
 particular every in-order sum is an ``np.cumsum`` along the interval axis,
 which adds in sequence like the scalar loops; a pairwise ``np.sum`` would not.
+The Bayes step's sum is in :func:`posterior._reweigh`, which both kinds of
+row share with :func:`posterior.bayes_update_dense`; the rest are here.
 Interval ends are exact integers; the divisions that turn them into
 fractions convert them to float64, which is exact for ``L <= 53``.
 
@@ -35,8 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .channel import _noise_for_sizes
-from .errors import ContractViolationError, ZeroLikelihoodError
-from .posterior import _Partition
+from .errors import ContractViolationError
+from .posterior import _Partition, _reweigh
 from .strategies import _HEAVY_MARGIN, StrategyKind, _descend
 
 
@@ -129,18 +131,12 @@ class _Batch(_Rows):
     def update(self, s1: np.ndarray, s2: np.ndarray, y: np.ndarray, p: np.ndarray) -> None:
         """Row-wise :meth:`_Partition.update` for the queries ``[s1, s2]``
         answered ``y`` through crossovers ``p``."""
-        in_lik = np.where(y, 1.0 - p, p)
-        out_lik = np.where(y, p, 1.0 - p)
         i1 = self.cut(s1)
         i2 = self.cut(s2 + 1)
         w = self.w
         cols = np.arange(w)
         inside = (cols >= i1[:, None]) & (cols < i2[:, None])
-        weighted = self.masses[:, :w] * np.where(inside, in_lik[:, None], out_lik[:, None])
-        total = np.cumsum(weighted, axis=1)[:, -1]
-        if (total <= 0.0).any():
-            raise ZeroLikelihoodError("all posterior mass has zero likelihood")
-        self.masses[:, :w] = masses = weighted / total[:, None]
+        self.masses[:, :w] = masses = _reweigh(self.masses[:, :w], inside, y, p)
         self.cums[:, 1 : w + 1] = np.cumsum(masses, axis=1)
 
     def prefix(self, rows, k: np.ndarray) -> np.ndarray:
@@ -268,14 +264,8 @@ class _RunBatch(_Rows):
         """Row-wise :meth:`_Runs.update` for the query of the runs flagged
         in ``flags``, answered ``y`` through crossovers ``p``."""
         w = self.w
-        in_lik = np.where(y, 1.0 - p, p)
-        out_lik = np.where(y, p, 1.0 - p)
-        new = self.vals[:, :w] * np.where(flags[:, :w], in_lik[:, None], out_lik[:, None])
         los = self.los[:, : w + 1]
-        total = np.cumsum(new * (los[:, 1:] - los[:, :-1]), axis=1)[:, -1]
-        if (total <= 0.0).any():
-            raise ZeroLikelihoodError("all posterior mass has zero likelihood")
-        new /= total[:, None]
+        new = _reweigh(self.vals[:, :w], flags[:, :w], y, p, los[:, 1:] - los[:, :-1])
         # merge neighbours whose values became equal: keep each run that
         # differs from the one before it
         keep = np.ones(new.shape, dtype=bool)

@@ -150,8 +150,7 @@ def _noise_for_sizes(profile: NoiseProfile, fractions: np.ndarray) -> np.ndarray
     """:func:`noise_for_size` elementwise over an array of query fractions in
     ``[0, 1]``: the same floats, clamped by the same max and then min."""
     a, b = _coefficients(profile)
-    p = np.minimum(np.maximum(a + b * np.minimum(fractions, 0.5), profile.p_floor), P_CEILING)
-    return np.broadcast_to(p, fractions.shape)
+    return np.minimum(np.maximum(a + b * np.minimum(fractions, 0.5), profile.p_floor), P_CEILING)
 
 
 def sample_observation(

@@ -104,7 +104,8 @@ def parse_n_values(spec: str) -> list[int]:
     if sep == ":":
         lo, hi, step = values
         if step < 1 or not (1 <= lo <= hi <= STEP_CAP):
-            raise ValueError(f"bad range {spec!r}: need STEP >= 1, 1 <= LO <= HI <= {STEP_CAP}")
+            raise ValueError(f"bad --n range {spec!r}; expected LO:HI:STEP with STEP >= 1 "
+                             f"and 1 <= LO <= HI <= {STEP_CAP}")
         return list(range(lo, hi + 1, step))
     if not all(1 <= v <= STEP_CAP for v in values):
         raise ValueError(f"budgets must be in 1..{STEP_CAP}, got {spec!r}")

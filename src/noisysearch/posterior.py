@@ -23,8 +23,8 @@ sorted-matching rule: a sortPM query cuts at most one run, so after ``t``
 steps there are at most ``t + 1`` runs, and the engine never holds the
 ``n``-entry vector.  :func:`select_sort_pm` runs the kernel on the
 run-length encoding of the vector, and :func:`bayes_update_dense` does the
-kernel's float operations on it in numpy, so both agree with the engine bit
-for bit.  Both kernels, and the lockstep rows of :mod:`noisysearch._batch`,
+kernel's float operations on it in numpy (:func:`_reweigh`, which the
+lockstep rows share), so both agree with the engine bit for bit.  Both kernels, and the lockstep rows of :mod:`noisysearch._batch`,
 hold their parts (intervals or runs) in one layout: ``los`` lists the parts'
 first bins and then ``n + 1``, so part ``j`` is ``los[j] .. los[j + 1] - 1``.
 The interval kernels' running sums ``cums`` have as many entries as ``los``
@@ -275,29 +275,36 @@ def _check_observation(y: int) -> None:
         raise ValueError(f"observation must be 0 or 1, got {y}")
 
 
+def _reweigh(values: np.ndarray, inside: np.ndarray, y, p, widths=None) -> np.ndarray:
+    """The Bayes step of :meth:`_Partition.update` and :meth:`_Runs.update`
+    in numpy, along the last axis (one ``y`` and ``p`` per row of a 2-D
+    input): each value times the likelihood of answer ``y`` under crossover
+    ``p`` (``1 - p`` where ``inside`` equals ``y``, else ``p``), over the
+    in-order sum of the products, times ``widths`` if given."""
+    p = np.asarray(p)[..., None]
+    new = values * np.where(inside == np.asarray(y)[..., None], 1.0 - p, p)
+    total = np.cumsum(new if widths is None else new * widths, axis=-1)[..., -1:]
+    if (total <= 0.0).any():
+        raise ZeroLikelihoodError("all posterior mass has zero likelihood")
+    return new / total
+
+
 def bayes_update_dense(
     post: PosteriorDense, query: QuerySet, y: int, profile: NoiseProfile
 ) -> PosteriorDense:
-    """One Bayes step on the dense vector.
-
-    :meth:`_Runs.update`'s float operations in numpy, on the runs of equal
-    mass and membership: each run's value times its likelihood, the in-order
-    sum of value times width (``np.cumsum``'s last element), the divide.
-    Merging equal neighbours would not change the expanded vector, so none
-    is done.
+    """One Bayes step on the dense vector: :func:`_reweigh` on the runs of
+    equal mass and membership, weighted by their widths, as
+    :meth:`_Runs.update` does.  Merging equal neighbours would not change
+    the expanded vector, so none is done.
     """
     n = post.n_bins
     p = noise_for_size(profile, query.size_fraction(n))
     _check_observation(y)
-    in_lik, out_lik = (1.0 - p, p) if y else (p, 1.0 - p)
     member = query.member_mask(n)
     heads = _run_heads(post.mass, member)
     widths = np.append(heads[1:], n) - heads
-    new = post.mass[heads] * np.where(member[heads], in_lik, out_lik)
-    total = np.cumsum(new * widths)[-1]
-    if total <= 0.0:
-        raise ZeroLikelihoodError("all posterior mass has zero likelihood")
-    return PosteriorDense._wrap(np.repeat(new / total, widths))
+    new = _reweigh(post.mass[heads], member[heads], y, p, widths)
+    return PosteriorDense._wrap(np.repeat(new, widths))
 
 
 def _run_heads(mass: np.ndarray, member: Optional[np.ndarray] = None) -> np.ndarray:

@@ -39,7 +39,9 @@ class TestParsing:
         assert parse_n_values("10,20,30") == [10, 20, 30]
         assert parse_n_values("25") == [25]
 
-    @pytest.mark.parametrize("spec", ["1:2:3:4", "5:", "3,,4", "1.5", ""])
+    @pytest.mark.parametrize(
+        "spec", ["1:2:3:4", "5:", "3,,4", "1.5", "", "5:1:1", "0:5:1", "1:5:0", "1:1000001:1"]
+    )
     def test_malformed_n_spec_names_the_spec(self, spec):
         with pytest.raises(ValueError) as exc:
             parse_n_values(spec)

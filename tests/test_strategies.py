@@ -2,6 +2,7 @@
 
 import math
 from bisect import bisect_right
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -522,10 +523,19 @@ class TestBinnedLogLik:
         got = binned_sorted_loglik(PosteriorDense.uniform(8), 0.25)
         assert got == pytest.approx(-math.log2(3.0), abs=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.3, 1.0 / 3.0, 0.11])
-    def test_uneven_binning_rejected(self, alpha):
-        with pytest.raises(ValueError):
-            binned_sorted_loglik(PosteriorDense.uniform(8), alpha)
+    @pytest.mark.parametrize(
+        "post, alpha",
+        [
+            *(pytest.param(PosteriorDense.uniform(8), a, id=str(a)) for a in (0.3, 1.0 / 3.0, 0.11)),
+            # 1/alpha is within 7e-10 of 3 and alpha * n is 1431655765, but
+            # 3 * 1431655765 = 2**32 - 1: only the product check refuses it,
+            # before the stub's missing mass is read
+            pytest.param(SimpleNamespace(n_bins=2**32), 1431655765 / 2**32, id="2**32-bins"),
+        ],
+    )
+    def test_uneven_binning_rejected(self, post, alpha):
+        with pytest.raises(ValueError, match="does not evenly bin"):
+            binned_sorted_loglik(post, alpha)
 
 
 class TestNestedLogLik:

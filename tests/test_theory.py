@@ -250,6 +250,11 @@ class TestFrontier:
         assert all(b > a for a, b in zip(rs, rs[1:]))
         assert all(b < a for a, b in zip(es, es[1:]))
 
+    def test_unknown_class_rejected(self):
+        # the enum's value, not the enum member
+        with pytest.raises(ValueError, match="unknown frontier class 'optimal'"):
+            rate_reliability_frontier(AFFINE, "optimal")
+
     def test_line_relation(self):
         pts = rate_reliability_frontier(AFFINE, FrontierClass.OPTIMAL)
         r_max = pts[-1][0]
