@@ -24,9 +24,10 @@ steps there are at most ``t + 1`` runs, and the engine never holds the
 ``n``-entry vector.  :func:`select_sort_pm` runs the kernel on the
 run-length encoding of the vector, and :func:`bayes_update_dense` does the
 kernel's float operations on it in numpy (:func:`_reweigh`, which the
-lockstep rows share), so both agree with the engine bit for bit.  Both kernels, and the lockstep rows of :mod:`noisysearch._batch`,
-hold their parts (intervals or runs) in one layout: ``los`` lists the parts'
-first bins and then ``n + 1``, so part ``j`` is ``los[j] .. los[j + 1] - 1``.
+lockstep rows share), so both agree with the engine bit for bit.  Both
+kernels, and the lockstep rows of :mod:`noisysearch._batch`, hold their parts
+(intervals or runs) in one layout: ``los`` lists the parts' first bins and
+then ``n + 1``, so part ``j`` is ``los[j] .. los[j + 1] - 1``.
 The interval kernels' running sums ``cums`` have as many entries as ``los``
 and start at 0.0: ``cums[j]`` is the mass before part ``j``, and the last
 entry is the total.

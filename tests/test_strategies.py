@@ -526,7 +526,8 @@ class TestBinnedLogLik:
     @pytest.mark.parametrize(
         "post, alpha",
         [
-            *(pytest.param(PosteriorDense.uniform(8), a, id=str(a)) for a in (0.3, 1.0 / 3.0, 0.11)),
+            *(pytest.param(PosteriorDense.uniform(8), alpha, id=str(alpha))
+              for alpha in (0.3, 1.0 / 3.0, 0.11)),
             # 1/alpha is within 7e-10 of 3 and alpha * n is 1431655765, but
             # 3 * 1431655765 = 2**32 - 1: only the product check refuses it,
             # before the stub's missing mass is read
