@@ -51,8 +51,8 @@ class AffineNoise:
     def __post_init__(self) -> None:
         if not (0.0 <= self.a <= 1.0):
             raise ValueError(f"intercept a must be in [0, 1], got {self.a}")
-        if self.b < 0.0:
-            raise ValueError(f"slope b must be >= 0 (non-decreasing noise), got {self.b}")
+        if not (0.0 <= self.b < math.inf):
+            raise ValueError(f"slope b must be in [0, inf) (non-decreasing noise), got {self.b}")
         if not (0.0 <= self.p_floor < 0.5):
             raise ValueError(f"p_floor must be in [0, 0.5), got {self.p_floor}")
 

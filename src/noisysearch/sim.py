@@ -54,11 +54,12 @@ _UNIFORM_BLOCK = 64
 _WILSON_Z95 = 1.959963984540054
 
 
-def _int_in(name: str, value, lo: int, hi: float) -> None:
+def _int_in(name: str, value, lo: float, hi: float) -> None:
     """Refuse ``value`` (the argument ``name``) unless it is an integer in
-    ``lo..hi``: a float, even 5.0, is refused, as :func:`operator.index` does."""
+    ``lo..hi`` by :func:`operator.index`, which refuses a float, even 5.0;
+    a bool, which it reads as 0 or 1, is refused too."""
     try:
-        ok = lo <= operator.index(value) <= hi
+        ok = not isinstance(value, bool) and lo <= operator.index(value) <= hi
     except TypeError:
         ok = False
     if not ok:
@@ -104,6 +105,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         # 2**L bins must fit the int64 draw of the target
         _int_in("L", self.L, 0, 62)
+        _int_in("seed", self.seed, -math.inf, math.inf)
         if self.target is not None:
             _int_in("target", self.target, 1, self.n_bins)
 
@@ -160,6 +162,8 @@ def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z95) -> tupl
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent per-trial stream: Philox keyed by the run seed, counter
     advanced to a disjoint 2**128-draw block per trial."""
+    _int_in("seed", seed, -math.inf, math.inf)
+    _int_in("trial_index", trial_index, 0, (1 << 128) - 1)
     return np.random.Generator(
         np.random.Philox(key=seed % (1 << 64), counter=trial_index << 128)
     )
@@ -243,16 +247,12 @@ def _run(
     else:
         truth = int(rng.integers(1, n + 1))
 
-    if n == 1:
-        # single-bin search: the prior is already certain
-        rec = EpisodeRecord(
-            tau=0, estimate=1, truth=truth, correct=truth == 1, query_sizes=(),
-            ops=0, max_posterior_trace=(1.0,) if trace else None,
-            checkpoint_estimates=tuple(1 for _ in checkpoints) if checkpoints else None,
-        )
-        return rec, state
-
     fl_n = config.stopping.n if isinstance(config.stopping, FixedLength) else None
+    if n == 1 and fl_n is None:
+        # a threshold run on one bin: the prior is already certain
+        return EpisodeRecord(tau=0, estimate=1, truth=truth, correct=truth == 1, query_sizes=(),
+                             max_posterior_trace=(1.0,) if trace else None), state
+
     # a fixed-length run never stops on the peak
     threshold = math.inf if fl_n is not None else 1.0 - config.stopping.epsilon
     if sort:
@@ -329,7 +329,7 @@ def _checkpoints(steps: Sequence[int], name: str) -> tuple[int, ...]:
     """``steps`` (the argument ``name``) as sorted, distinct positive ints;
     a step that is not an integer is refused, not truncated."""
     steps = list(steps)
-    if any(int(s) != s for s in steps):
+    if any(isinstance(s, bool) or int(s) != s for s in steps):
         raise ValueError(f"{name} must be integers, got {steps}")
     cps = tuple(sorted(set(int(s) for s in steps)))
     if not cps or cps[0] < 1:

@@ -98,6 +98,9 @@ class TestEvalNoise:
             AffineNoise(0.1, -0.5)
         with pytest.raises(ValueError):
             ConstantNoise(1.5)
+        for slope in (math.inf, math.nan):  # inf * 0 is nan at a zero-size query
+            with pytest.raises(ValueError, match="slope"):
+                AffineNoise(0.1, slope)
         for floor in (-0.1, 0.5):
             with pytest.raises(ValueError, match="p_floor"):
                 AffineNoise(0.1, 0.5, p_floor=floor)

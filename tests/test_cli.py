@@ -97,9 +97,9 @@ class TestParsing:
             ["simulate", "--strategy", "median", "--L", "8", "--noise", "constant:0.5",
              "--vl", "0.01", "--out", "x.csv"],  # uninformative: p(1/2) = 1/2
             ["simulate", "--strategy", "median", "--L", "8", "--noise", "affine:0.1:inf",
-             "--vl", "0.01", "--out", "x.csv"],  # uninformative: p(1/2) = inf
+             "--vl", "0.01", "--out", "x.csv"],  # slope inf: p(0) = inf * 0 is nan
             ["simulate", "--strategy", "median", "--L", "8", "--noise", "affine:0.1:nan",
-             "--vl", "0.01", "--out", "x.csv"],  # uninformative: p(1/2) = nan
+             "--vl", "0.01", "--out", "x.csv"],  # slope nan
             ["simulate", "--strategy", "dya", "--L", "4", "--noise", "affine:0.1:0.5",
              "--vl", "1e-17", "--trials", "1", "--out", "x.csv"],  # 1 - eps rounds to 1
             ["NS_WORKERS=abc", "simulate", "--strategy", "dya", "--L", "4",

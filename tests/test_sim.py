@@ -65,6 +65,16 @@ class TestEpisodeBasics:
         assert rec.estimate == 1
         assert rec.correct
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_single_bin_fixed_length_takes_n_queries(self, kind):
+        # only a threshold run stops on the certain prior; n queries of [1, 1]
+        cfg = config(L=0, strategy=kind, stopping=FixedLength(5))
+        rec = run_episode(cfg, trial_rng(cfg.seed, 0))
+        assert (rec.tau, rec.estimate, rec.correct) == (5, 1, True)
+        assert rec.query_sizes == (1.0,) * 5
+        assert run_monte_carlo(cfg, 10).mean_tau == 5.0
+        assert sweep_error_vs_queries(cfg, [5], 10)[0][1].mean_tau == 5.0
+
     def test_fixed_length_stops_exactly(self):
         cfg = config(stopping=FixedLength(17), strategy=StrategyKind.DYA_PM)
         rec = run_episode(cfg, trial_rng(cfg.seed, 0))
@@ -124,6 +134,17 @@ class TestDeterminism:
         a = trial_rng(9, 0).random(8)
         b = trial_rng(9, 1).random(8)
         assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize("seed, index", [(1.5, 0), (True, 0), (None, 0), ("3", 0),
+                                             (1, True), (1, 1.0)])
+    def test_trial_rng_refuses_non_integers(self, seed, index):
+        with pytest.raises(ValueError):
+            trial_rng(seed, index)
+
+    @pytest.mark.parametrize("seed, index", [(2**70, 3), (-1, 0)])
+    def test_integer_seed_keeps_its_stream(self, seed, index):
+        ref = np.random.Generator(np.random.Philox(key=seed % (1 << 64), counter=index << 128))
+        assert trial_rng(seed, index).random(8).tolist() == ref.random(8).tolist()
 
     def test_kept_stream_equals_trial_rng(self):
         # each trial but the first starts after one that left a spare 32-bit
@@ -770,6 +791,19 @@ class TestSummaries:
             pytest.param(lambda: run_monte_carlo(config(target=2.5), 3), id="target-2.5"),
             pytest.param(lambda: run_monte_carlo(config(), 2.5), id="trials-2.5"),
             pytest.param(lambda: run_monte_carlo(config(), 3, workers=1.5), id="workers-1.5"),
+            # operator.index reads a bool as 0 or 1; no count, size or budget is a bool
+            pytest.param(lambda: run_monte_carlo(config(), True), id="trials-True"),
+            pytest.param(lambda: run_monte_carlo(config(), 3, workers=True), id="workers-True"),
+            pytest.param(lambda: run_monte_carlo(config(L=True), 3), id="L-True"),
+            pytest.param(lambda: run_monte_carlo(config(target=True), 3), id="target-True"),
+            pytest.param(lambda: run_monte_carlo(config(stopping=FixedLength(True)), 3),
+                         id="fixed-length-True"),
+            pytest.param(lambda: sweep_error_vs_queries(config(), [True, 3], 3),
+                         id="budgets-True"),
+            pytest.param(lambda: run_monte_carlo(config(seed=1.5), 3), id="seed-1.5"),
+            pytest.param(lambda: run_monte_carlo(config(seed=None), 3), id="seed-None"),
+            pytest.param(lambda: run_monte_carlo(config(seed="3"), 3), id="seed-str"),
+            pytest.param(lambda: run_monte_carlo(config(seed=True), 3), id="seed-True"),
             # Fano's converse puts mean tau near 2.3e6 queries, past half the cap
             pytest.param(lambda: run_monte_carlo(config(L=8, profile=ConstantNoise(0.499),
                                                         stopping=VariableLength(0.1)), 1),
