@@ -327,7 +327,7 @@ def _run(
 
 def _checkpoints(steps: Sequence[int], name: str) -> tuple[int, ...]:
     """``steps`` (the argument ``name``) as sorted, distinct positive ints;
-    a step that is not an integer is refused, not truncated."""
+    a bool, or a step that is not an integer, is refused, not truncated."""
     steps = list(steps)
     if any(isinstance(s, bool) or int(s) != s for s in steps):
         raise ValueError(f"{name} must be integers, got {steps}")
