@@ -28,14 +28,16 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TextIO
 
 from .channel import AffineNoise, ConstantNoise, NoiseProfile, _check_informative, _coefficients
-from .errors import NoisySearchError
+from .errors import NoisySearchError, _int_in
 from .sim import (
     STEP_CAP,
+    _EXACT_L,
     FixedLength,
     MonteCarloSummary,
     SearchConfig,
     VariableLength,
     _check_run,
+    _checkpoints,
     episode_final_posterior,
     run_monte_carlo,
     sweep_error_vs_queries,
@@ -47,8 +49,6 @@ __all__ = ["RunManifest", "parse_args", "execute", "main"]
 
 _STRATEGY_NAMES = tuple(k.value for k in StrategyKind)
 _BOUND_STRATEGY_NAMES = ("sort", "dya", "hie")
-# float64 holds bin counts up to 2**53 exactly; no CLI path does 2**L work
-_MAX_L = 53
 _DEFAULT_ALPHA = 2.0**-6
 
 
@@ -93,7 +93,8 @@ def parse_noise(spec: str) -> NoiseProfile:
 
 
 def parse_n_values(spec: str) -> list[int]:
-    """``lo:hi:step`` (inclusive range), comma list, or a single integer, all in 1..STEP_CAP."""
+    """``lo:hi:step`` (inclusive range, ``1 <= lo <= hi <= STEP_CAP``), comma
+    list, or a single integer; ``_plan`` checks each budget."""
     sep = ":" if ":" in spec else ","
     try:
         values = [int(x) for x in spec.split(sep)]
@@ -107,8 +108,6 @@ def parse_n_values(spec: str) -> list[int]:
             raise ValueError(f"bad --n range {spec!r}; expected LO:HI:STEP with STEP >= 1 "
                              f"and 1 <= LO <= HI <= {STEP_CAP}")
         return list(range(lo, hi + 1, step))
-    if not all(1 <= v <= STEP_CAP for v in values):
-        raise ValueError(f"budgets must be in 1..{STEP_CAP}, got {spec!r}")
     return values
 
 
@@ -308,8 +307,8 @@ def _plan(m: RunManifest) -> Callable[[TextIO, Optional[TextIO]], None]:
         return frontier
 
     require("L")
-    if not (1 <= m.L <= _MAX_L):
-        raise ValueError(f"--L must be in 1..{_MAX_L}, got {m.L}")
+    # no CLI path does work in proportion to the 2**L bins
+    _int_in("--L", m.L, 1, _EXACT_L)
 
     if sub == "bounds":
         require("vl")
@@ -341,8 +340,8 @@ def _plan(m: RunManifest) -> Callable[[TextIO, Optional[TextIO]], None]:
 
     if sub == "sweep":
         require("n_spec")
-        budgets = parse_n_values(m.n_spec)
-        config = search(stopping=FixedLength(max(budgets)))
+        budgets = _checkpoints(parse_n_values(m.n_spec), "--n")
+        config = search(stopping=FixedLength(budgets[-1]))
         _check_run(config, m.trials, m.workers)
 
         def sweep(out: TextIO, dump: Optional[TextIO]) -> None:

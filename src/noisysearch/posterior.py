@@ -49,7 +49,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .channel import NoiseProfile, noise_for_size
-from .errors import ContractViolationError, ZeroLikelihoodError
+from .errors import ContractViolationError, ZeroLikelihoodError, _int_in
 
 __all__ = [
     "QuerySet",
@@ -70,24 +70,23 @@ _SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class QuerySet:
-    """A query set: a sorted union of disjoint, non-adjacent index runs."""
+    """A query set: a sorted union of disjoint, non-adjacent index runs
+    ``(lo, hi)``, held as ints with ``1 <= lo <= hi``."""
 
     runs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.runs:
+        runs = tuple((_int_in("lo", lo, 1, math.inf), _int_in("hi", hi, lo, math.inf))
+                     for lo, hi in self.runs)
+        if not runs:
             raise ValueError("query set must be non-empty")
-        prev_hi = -1
-        for lo, hi in self.runs:
-            if lo < 1 or hi < lo:
-                raise ValueError(f"bad run ({lo}, {hi})")
-            if lo <= prev_hi + 1:
-                raise ValueError(f"runs must be sorted and non-adjacent, got {self.runs}")
-            prev_hi = hi
+        if any(lo <= prev_hi + 1 for (_, prev_hi), (lo, _) in zip(runs, runs[1:])):
+            raise ValueError(f"runs must be sorted and non-adjacent, got {self.runs}")
+        object.__setattr__(self, "runs", runs)
 
     @classmethod
     def from_run(cls, lo: int, hi: int) -> "QuerySet":
-        return cls(((int(lo), int(hi)),))
+        return cls(((lo, hi),))
 
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "QuerySet":
@@ -146,6 +145,7 @@ class PosteriorDense:
 
     @classmethod
     def uniform(cls, n_bins: int) -> "PosteriorDense":
+        n_bins = _int_in("n_bins", n_bins, 1, math.inf)
         return cls(np.full(n_bins, 1.0 / n_bins))
 
     @classmethod
@@ -207,6 +207,7 @@ class PosteriorPartition:
 
     @classmethod
     def uniform(cls, n_bins: int) -> "PosteriorPartition":
+        n_bins = _int_in("n_bins", n_bins, 1, math.inf)
         return cls(np.array([1]), np.array([n_bins]), np.array([1.0]))
 
     @classmethod
@@ -630,11 +631,8 @@ def flatten(post: PosteriorPartition) -> PosteriorDense:
 
 
 def prefix_mass(post: Posterior, k: int) -> float:
-    """Total mass of bins 1..k, for either representation."""
-    n = post.n_bins
-    if not (1 <= k <= n):
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    return float(_prefix_index(post).prefix(k))
+    """Total mass of bins 1..k, ``k`` an integer in 1..n, for either representation."""
+    return float(_prefix_index(post).prefix(_int_in("k", k, 1, post.n_bins)))
 
 
 def query_mass(post: Posterior, query: QuerySet) -> float:

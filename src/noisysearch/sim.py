@@ -17,7 +17,6 @@ hold the values of single draws, so a trial gives the same episode as
 from __future__ import annotations
 
 import math
-import operator
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -26,7 +25,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .channel import NoiseProfile, _check_informative, _coefficients, _crossover, binary_entropy
-from .errors import CapExceededError, ContractViolationError
+from .errors import CapExceededError, ContractViolationError, _int_in
 from .posterior import Posterior, _Partition, _Runs
 from .strategies import _CONNECTED_QUERIES, _HEAVY_MARGIN, _ROOT, StrategyKind
 
@@ -52,18 +51,9 @@ _MAX_TRIALS = 2**63 - 1
 # per block instead of one per query
 _UNIFORM_BLOCK = 64
 _WILSON_Z95 = 1.959963984540054
-
-
-def _int_in(name: str, value, lo: float, hi: float) -> None:
-    """Refuse ``value`` (the argument ``name``) unless it is an integer in
-    ``lo..hi`` by :func:`operator.index`, which refuses a float, even 5.0;
-    a bool, which it reads as 0 or 1, is refused too."""
-    try:
-        ok = not isinstance(value, bool) and lo <= operator.index(value) <= hi
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be in {lo}..{hi}, got {value!r}")
+# float64 holds bin counts, and their quotients, exactly up to 2**53 bins:
+# the most L of the lockstep engine and of the CLI
+_EXACT_L = 53
 
 
 @dataclass(frozen=True)
@@ -141,15 +131,13 @@ class MonteCarloSummary:
 
 
 def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+    """Wilson score interval of the binomial proportion ``successes / trials`` (integers).
 
     Chosen over the Wald interval for its coverage at proportions near 0,
     which is exactly the regime of low error rates.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not (0 <= successes <= trials):
-        raise ValueError(f"successes must be in 0..{trials}, got {successes}")
+    _int_in("trials", trials, 1, math.inf)
+    _int_in("successes", successes, 0, trials)
     p_hat = successes / trials
     z2n = z * z / trials
     center = (p_hat + z2n / 2.0) / (1.0 + z2n)
@@ -163,20 +151,17 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent per-trial stream: Philox keyed by the run seed, counter
     advanced to a disjoint 2**128-draw block per trial."""
     _int_in("seed", seed, -math.inf, math.inf)
-    _int_in("trial_index", trial_index, 0, (1 << 128) - 1)
-    return np.random.Generator(
-        np.random.Philox(key=seed % (1 << 64), counter=trial_index << 128)
-    )
+    return _TrialStreams(seed)(_int_in("trial_index", trial_index, 0, (1 << 128) - 1))
 
 
 class _TrialStreams:
     """:func:`trial_rng` streams of one seed on one kept Philox, whose state
     costs far less to set than a new one costs to build.
 
-    ``streams(i)`` sets the generator to the state ``trial_rng(seed, i)``
-    starts in (the key, counter words ``[0, 0, i mod 2**64, i >> 64]``, an
-    empty buffer and no spare 32-bit half) and returns it, so a stream is
-    valid only until the next call.
+    ``streams(i)`` sets the generator to the start of trial ``i``'s stream
+    (key ``seed mod 2**64``, counter ``i << 128``, that is the words
+    ``[0, 0, i mod 2**64, i >> 64]``, an empty buffer and no spare 32-bit
+    half) and returns it, so a stream is valid only until the next call.
     """
 
     __slots__ = ("_philox", "_state", "_counter", "_rng")
@@ -192,6 +177,12 @@ class _TrialStreams:
         self._counter[3] = trial_index >> 64
         self._philox.state = self._state
         return self._rng
+
+
+def _draw_target(config: SearchConfig, rng: np.random.Generator) -> int:
+    """A trial's target: the config's, else one draw from ``rng``, the
+    first of the trial's stream."""
+    return config.target or int(rng.integers(1, config.n_bins + 1))
 
 
 def _uniform_blocks(rng: np.random.Generator) -> Iterator[float]:
@@ -242,10 +233,7 @@ def _run(
     state = _Runs.uniform(n) if sort else _Partition.uniform(n)
     cuts_per_step = 1 if sort else 2
 
-    if config.target is not None:
-        truth = config.target
-    else:
-        truth = int(rng.integers(1, n + 1))
+    truth = _draw_target(config, rng)
 
     fl_n = config.stopping.n if isinstance(config.stopping, FixedLength) else None
     if n == 1 and fl_n is None:
@@ -326,13 +314,12 @@ def _run(
 
 
 def _checkpoints(steps: Sequence[int], name: str) -> tuple[int, ...]:
-    """``steps`` (the argument ``name``) as sorted, distinct positive ints;
-    a bool, or a step that is not an integer, is refused, not truncated."""
-    steps = list(steps)
-    if any(isinstance(s, bool) or int(s) != s for s in steps):
-        raise ValueError(f"{name} must be integers, got {steps}")
-    cps = tuple(sorted(set(int(s) for s in steps)))
-    if not cps or cps[0] < 1:
+    """``steps`` (the argument ``name``) as sorted, distinct ints, each in
+    1..``STEP_CAP`` by :func:`_int_in`; an integral float such as
+    ``np.linspace``'s reads as its int (``[2.0, 3]`` as ``[2, 3]``)."""
+    steps = [int(s) if isinstance(s, float) and s.is_integer() else s for s in steps]
+    cps = tuple(sorted({_int_in(f"{name} (positive integers)", s, 1, STEP_CAP) for s in steps}))
+    if not cps:
         raise ValueError(f"{name} must be non-empty positive integers")
     return cps
 
@@ -350,10 +337,10 @@ def run_episode(
     config fixes it) and then one uniform per query, the channel's noise, in
     query order; nothing else.
 
-    With ``checkpoint_steps`` (fixed-length runs only), the posterior argmax
-    is also recorded after each listed step, which is exactly what a shorter
-    fixed-length run with the same stream would declare: a length-n episode
-    contains every shorter one as a prefix.
+    With ``checkpoint_steps`` (integers in 1..n of a fixed-length-n run), the
+    posterior argmax is also recorded after each listed step, which is what a
+    shorter fixed-length run with the same stream would declare: a length-n
+    episode contains every shorter one as a prefix.
     """
     cps = None
     if checkpoint_steps is not None:
@@ -391,7 +378,7 @@ def _lockstep_batches(config: SearchConfig, trials: int) -> int:
     fixed-length runs, at ``L`` where bin arithmetic is exact in float64,
     whose batches under the two caps have at least ``_BATCH_MIN_ROWS`` rows
     each."""
-    if not (isinstance(config.stopping, FixedLength) and 1 <= config.L <= 53):
+    if not (isinstance(config.stopping, FixedLength) and 1 <= config.L <= _EXACT_L):
         return 0
     from . import _batch  # only a run that can batch loads the lockstep engine
 
@@ -408,11 +395,10 @@ def _draw_trials(config: SearchConfig, start: int, stop: int) -> tuple[np.ndarra
     ``i`` holds trial ``start + i``'s target and then its horizon's uniforms,
     drawn as one ``random(n)`` block, which holds the values of single draws."""
     steps = config.stopping.n
-    truth = np.full(stop - start, config.target or 0, dtype=np.int64)
+    truth = np.empty(stop - start, dtype=np.int64)
     uniforms = np.empty((stop - start, steps))
     for row, rng in enumerate(map(_TrialStreams(config.seed), range(start, stop))):
-        if config.target is None:
-            truth[row] = rng.integers(1, config.n_bins + 1)
+        truth[row] = _draw_target(config, rng)
         uniforms[row] = rng.random(steps)
     return truth, uniforms
 
@@ -536,7 +522,7 @@ def run_monte_carlo(config: SearchConfig, trials: int, workers: int = 1) -> Mont
 def sweep_error_vs_queries(
     config: SearchConfig, n_values: Sequence[int], trials: int, workers: int = 1
 ) -> list[tuple[int, MonteCarloSummary]]:
-    """Fixed-length error rates over a grid of query budgets.
+    """Fixed-length error rates over a grid of query budgets, integers in 1..STEP_CAP.
 
     All budgets share the per-trial random streams (each trial is run once to
     the largest budget and read off at every checkpoint), so the resulting

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NoiseProfile, kl_bernoulli, noise_for_size
+from .errors import _int_in
 from .posterior import (
     Posterior,
     PosteriorDense,
@@ -79,15 +80,15 @@ class TreeNode:
 
     Level ``l`` splits the range into ``2**l`` equal blocks; node ``m`` covers
     bins ``m * 2**(L-l) + 1 .. (m+1) * 2**(L-l)``.  Each node is the disjoint
-    union of its two children.
+    union of its two children; ``level`` and ``index`` are ints, ``0 <= index < 2**level``.
     """
 
     level: int
     index: int
 
     def __post_init__(self) -> None:
-        if self.level < 0 or not (0 <= self.index < (1 << self.level)):
-            raise ValueError(f"bad tree node (level={self.level}, index={self.index})")
+        _int_in("level", self.level, 0, math.inf)
+        _int_in("index", self.index, 0, (1 << self.level) - 1)
 
     def interval(self, depth: int) -> tuple[int, int]:
         if self.level > depth:
@@ -188,6 +189,8 @@ def select_sort_pm(post: PosteriorDense) -> QuerySet:
 
 
 def _check_dyadic(post: Posterior, depth: int) -> None:
+    # past the bin count's length no depth matches it
+    _int_in("depth", depth, 0, post.n_bins.bit_length())
     if post.n_bins != (1 << depth):
         raise ValueError(f"posterior has {post.n_bins} bins, expected 2**{depth}")
 
@@ -365,7 +368,6 @@ def nested_loglik(post: PosteriorDense, level: int) -> float:
     depth = n.bit_length() - 1
     if n != (1 << depth):
         raise ValueError(f"nested binning needs a power-of-two bin count, got {n}")
-    if not (1 <= level <= depth):
-        raise ValueError(f"level must be in 1..{depth}, got {level}")
+    _int_in("level", level, 1, depth)
     binned = post.mass.reshape(1 << level, -1).sum(axis=1)
     return avg_log_likelihood(binned)

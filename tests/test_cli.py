@@ -48,6 +48,15 @@ class TestParsing:
         msg = str(exc.value)
         assert "\n" not in msg and repr(spec) in msg and "LO:HI:STEP" in msg
 
+    @pytest.mark.parametrize("spec", ["5,2000000", "5,0"])
+    def test_budget_out_of_range_names_the_flag(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["sweep", "--strategy", "dya", "--L", "6", "--noise", "affine:0.1:0.5",
+                        "--n", spec, "--out", "x.csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "error: --n" in err
+
     def test_noise_grammar(self):
         assert parse_noise("affine:0.1:0.5") == AffineNoise(0.1, 0.5)
         assert parse_noise("constant:0.3") == ConstantNoise(0.3)

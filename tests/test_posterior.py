@@ -72,6 +72,16 @@ class TestQuerySet:
         with pytest.raises(ValueError, match="exceeds range"):
             qs.member_mask(5)
 
+    @pytest.mark.parametrize("lo, hi", [(1.5, 3), (2, 3.0), (True, 3), (1, True)])
+    def test_run_ends_are_integers(self, lo, hi):
+        # refused, not truncated: from_run(1.5, 3) is not the run (1, 3)
+        with pytest.raises(ValueError, match="lo|hi"):
+            QuerySet.from_run(lo, hi)
+
+    def test_runs_are_held_as_ints(self):
+        qs = QuerySet(((np.int64(2), np.int64(5)),))
+        assert qs.runs == ((2, 5),) and all(type(end) is int for end in qs.runs[0])
+
     @given(hs.sets(hs.integers(1, 64), min_size=1, max_size=64))
     @settings(max_examples=200, deadline=None)
     def test_indices_round_trip(self, idx):
@@ -413,10 +423,15 @@ class TestFlattenAndPrefix:
         part = PosteriorPartition.from_intervals([(1, 2, 0.5), (3, 8, 0.5)])
         assert prefix_mass(part, 3) == pytest.approx(0.5 + 0.5 / 6, abs=1e-12)
 
-    @pytest.mark.parametrize("k", [0, 9])
+    @pytest.mark.parametrize("k", [0, 9, 2.5, True])
     def test_prefix_out_of_range(self, k):
         with pytest.raises(ValueError):
             prefix_mass(PosteriorDense.uniform(8), k)
+
+    @pytest.mark.parametrize("lo", [2.5, True])
+    def test_query_mass_bins_are_integers(self, lo):
+        with pytest.raises(ValueError, match="lo"):
+            query_mass(PosteriorDense.uniform(8), QuerySet(((lo, 3),)))
 
     def test_query_mass_multi_run(self):
         part = PosteriorPartition.from_intervals([(1, 4, 0.4), (5, 8, 0.6)])
@@ -484,6 +499,12 @@ class TestValidation:
     def test_dense_rejects_negative(self):
         with pytest.raises(ValueError):
             dense(1.1, -0.1)
+
+    @pytest.mark.parametrize("cls", [PosteriorDense, PosteriorPartition])
+    @pytest.mark.parametrize("n_bins", [8.5, 8.0, True, 0])
+    def test_uniform_bin_count_is_a_positive_integer(self, cls, n_bins):
+        with pytest.raises(ValueError, match="n_bins"):
+            cls.uniform(n_bins)
 
     @pytest.mark.parametrize("mass", [[], [[0.5, 0.5]]])
     def test_dense_must_be_a_non_empty_vector(self, mass):

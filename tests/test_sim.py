@@ -606,6 +606,17 @@ class TestCheckpointPrefixProperty:
         ]
         assert list(rec.checkpoint_estimates) == solo
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan, None, 1 + 0j, 10**7], ids=repr)
+    def test_budgets_and_checkpoints_follow_the_integer_rule(self, step):
+        # each is refused with a ValueError that names the argument: not an
+        # OverflowError or TypeError from int(), nor a fixed-length error
+        cfg = config(L=6, strategy=StrategyKind.DYA_PM, seed=23)
+        with pytest.raises(ValueError, match="n_values"):
+            sweep_error_vs_queries(cfg, [2, step], 10)
+        fl = dataclasses.replace(cfg, stopping=FixedLength(20))
+        with pytest.raises(ValueError, match="checkpoint_steps"):
+            run_episode(fl, trial_rng(0, 0), checkpoint_steps=[2, step])
+
     def test_checkpoints_require_fixed_length(self):
         cfg = config()
         with pytest.raises(ValueError):
@@ -741,6 +752,11 @@ class TestSummaries:
         with pytest.raises(ValueError):
             wilson_interval(7, 5)
 
+    @pytest.mark.parametrize("successes, trials", [(1.5, 3), (1, 3.0), (True, 3), (1, True)])
+    def test_wilson_counts_are_integers(self, successes, trials):
+        with pytest.raises(ValueError, match="successes|trials"):
+            wilson_interval(successes, trials)
+
     def test_summary_fields(self):
         cfg = config(L=6, strategy=StrategyKind.DYA_PM, seed=23)
         s = run_monte_carlo(cfg, 100)
@@ -800,6 +816,10 @@ class TestSummaries:
                          id="fixed-length-True"),
             pytest.param(lambda: sweep_error_vs_queries(config(), [True, 3], 3),
                          id="budgets-True"),
+            pytest.param(lambda: sweep_error_vs_queries(config(), [math.inf], 3), id="budgets-inf"),
+            pytest.param(lambda: sweep_error_vs_queries(config(), [None], 3), id="budgets-None"),
+            pytest.param(lambda: sweep_error_vs_queries(config(), [1 + 0j], 3),
+                         id="budgets-complex"),
             pytest.param(lambda: run_monte_carlo(config(seed=1.5), 3), id="seed-1.5"),
             pytest.param(lambda: run_monte_carlo(config(seed=None), 3), id="seed-None"),
             pytest.param(lambda: run_monte_carlo(config(seed="3"), 3), id="seed-str"),

@@ -71,6 +71,11 @@ class TestTreeNode:
         assert right.interval(3)[1] == hi
         assert left.interval(3)[1] + 1 == right.interval(3)[0]
 
+    @pytest.mark.parametrize("level, index", [(1.0, 0), (1, 0.0), (True, 0), (1, True)])
+    def test_node_coordinates_are_integers(self, level, index):
+        with pytest.raises(ValueError, match="level|index"):
+            TreeNode(level, index)
+
     def test_bad_node(self):
         with pytest.raises(ValueError):
             TreeNode(1, 2)
@@ -303,6 +308,13 @@ class TestHeaviestNode:
     def test_wrong_bin_count(self):
         with pytest.raises(ValueError):
             heaviest_node(PosteriorDense.uniform(6), 2)
+
+    @pytest.mark.parametrize("rule", [heaviest_node, select_dya_pm, select_hie_pm])
+    @pytest.mark.parametrize("n_bins, depth", [(8, 3.0), (2, True)])
+    def test_depth_is_an_integer(self, rule, n_bins, depth):
+        # True is not depth 1, and 3.0 is refused by the rule, not by a shift
+        with pytest.raises(ValueError, match="depth"):
+            rule(PosteriorPartition.uniform(n_bins), depth)
 
 
 class TestHiePM:
@@ -548,6 +560,11 @@ class TestNestedLogLik:
         # unlike the sorted functional, moving mass across the midpoint changes it
         assert nested_loglik(dense(0.1, 0.1, 0.7, 0.1), 1) == pytest.approx(1.2, abs=1e-12)
         assert nested_loglik(dense(0.4, 0.1, 0.4, 0.1), 1) == 0.0
+
+    @pytest.mark.parametrize("level", [True, 1.0])
+    def test_level_is_an_integer(self, level):
+        with pytest.raises(ValueError, match="level"):
+            nested_loglik(PosteriorDense.uniform(4), level)
 
     def test_level_zero_rejected(self):
         with pytest.raises(ValueError):
