@@ -88,6 +88,12 @@ CLI_CASES = {
                             "--vl", "0.7", *MC], None),
     "simulate-hie-vl0.7": (["simulate", "--strategy", "hie", "--L", "8", *AFFINE,
                             "--vl", "0.7", *MC], None),
+    "simulate-sort-vl0.4": (["simulate", "--strategy", "sort", "--L", "8", *AFFINE,
+                             "--vl", "0.4", *MC], None),
+    "simulate-sort-vl0.5": (["simulate", "--strategy", "sort", "--L", "8", *AFFINE,
+                             "--vl", "0.5", *MC], None),
+    "simulate-sort-vl0.7": (["simulate", "--strategy", "sort", "--L", "8", *AFFINE,
+                             "--vl", "0.7", *MC], None),
     "bounds": (["bounds", "--L", "12", *AFFINE, "--vl", "0.001"], None),
     "frontier": (["frontier", *AFFINE], None),
 }
@@ -117,6 +123,9 @@ GOLDEN_CLI = {
     "simulate-median-vl0.7": "0d54b83a09a7b34537a099e6c6202c48d61f2f78bde1f2d62cc71a50add59ea5",
     "simulate-dya-vl0.7": "bbdad640ec3dd1f1ec960032d77922a187de27dddb072b75f4d86497d2653aa6",
     "simulate-hie-vl0.7": "f8cc7c8bac5c48a4436e09fa458ace37f6a74be3a20fb06e6a185969610ca198",
+    "simulate-sort-vl0.4": "0d36f8b64e162c68ca65f7dacd9888557c3b4f93b0041e8396e74111a095b93a",
+    "simulate-sort-vl0.5": "839d94a45c6ac524b71b55dbd36032ffb2508a465b0db79611f678fb70da3fd8",
+    "simulate-sort-vl0.7": "0c0b823f781d583ad4e27e24fc7bb967572055632912c7fa3b88106f34327242",
     "bounds": "9df85a159c1346d4fa169a6d71d3705d9459088faff60fecd10be5f5327e489e",
     "frontier": "29794db2469586fcea4584234f88f181a4ea6fb2b59da704938dcba94b265532",
 }
