@@ -38,8 +38,8 @@ import numpy as np
 
 from .channel import _noise_for_sizes
 from .errors import ContractViolationError
-from .posterior import _Partition, _reweigh
-from .strategies import _HEAVY_MARGIN, StrategyKind, _descend
+from .posterior import _HEAVY_MARGIN, _Partition, _reweigh
+from .strategies import StrategyKind, _descend
 
 
 def _row_width(sort: bool, steps: int) -> int:

@@ -68,6 +68,14 @@ __all__ = [
 _SUM_TOL = 1e-9
 
 
+def _int_array(name: str, values) -> np.ndarray:
+    """``values`` (the argument ``name``) as a new int64 array, each entry put
+    through :func:`errors._int_in` before numpy casts it: a float or bool is refused."""
+    arr = np.asarray(values, dtype=object)
+    return np.array([_int_in(name, v, -math.inf, math.inf) for v in arr.flat],
+                    dtype=np.int64).reshape(arr.shape)
+
+
 @dataclass(frozen=True)
 class QuerySet:
     """A query set: a sorted union of disjoint, non-adjacent index runs
@@ -91,7 +99,7 @@ class QuerySet:
     @classmethod
     def from_indices(cls, indices: Iterable[int]) -> "QuerySet":
         """Build from individual bin indices, merging adjacent ones into runs."""
-        idx = np.unique(np.asarray(list(indices), dtype=np.int64))
+        idx = np.unique(_int_array("indices", list(indices)))
         if idx.size == 0:
             raise ValueError("query set must be non-empty")
         breaks = np.flatnonzero(np.diff(idx) > 1)
@@ -184,8 +192,7 @@ class PosteriorPartition:
     mass: np.ndarray
 
     def __post_init__(self) -> None:
-        lo = np.array(self.lo, dtype=np.int64, copy=True)
-        hi = np.array(self.hi, dtype=np.int64, copy=True)
+        lo, hi = _int_array("lo", self.lo), _int_array("hi", self.hi)
         mass = np.array(self.mass, dtype=np.float64, copy=True)
         if not (lo.ndim == hi.ndim == mass.ndim == 1) or lo.size == 0:
             raise ValueError("lo/hi/mass must be non-empty 1-D arrays")
@@ -318,6 +325,15 @@ def _run_heads(mass: np.ndarray, member: Optional[np.ndarray] = None) -> np.ndar
     return np.concatenate(([0], np.flatnonzero(change) + 1))
 
 
+# Lemma: two disjoint parts of an episode's posterior, measured from its
+# running sums, weigh at most ``(1 + u) * cums[-1] <= 1 + (2K + 2) u``
+# together (``u = 2**-53``, ``K <= 2 * sim.STEP_CAP + 1`` intervals): less
+# than 4.5e-10 above 1.  So once a part weighs ``1/2 + _HEAVY_MARGIN``, no
+# part disjoint from it reaches 1/2 (:meth:`_Partition.peak_bound` and
+# :func:`strategies._heaviest` rest on this).
+_HEAVY_MARGIN = 2.0**-20
+
+
 class _Partition:
     """Mutable list form of an interval partition: the per-step kernel.
 
@@ -435,25 +451,13 @@ class _Partition:
         return lo + min(max(count, 1), width) - 1, j
 
     def peak_bound(self) -> float:
-        """An upper bound on :meth:`peak`'s mass, without its scan: the
-        largest interval mass, since ``fl(m / w) <= m`` for a width ``w >= 1``."""
-        return max(self.masses)
-
-    def half_mass_bound(self) -> float:
-        """The mass of the interval that holds the half-mass point (the first
-        whose running sum reaches 1/2), found in O(log K) for K intervals.
-
-        For a threshold ``t > 1/2 + strategies._HEAVY_MARGIN`` it exceeds
-        ``t`` exactly when :meth:`peak_bound` does, on the posteriors of an
-        episode (``cums`` current, ``K <= 2 * STEP_CAP + 1``).  Proof: let
-        ``masses[i] > t``.  A float sum of non-negative terms is at least
-        each term, so ``cums[i + 1] >= masses[i] > 1/2`` and the interval
-        found is at most ``i``.  The two disjoint parts ``cums[i]`` and
-        ``masses[i]`` measure at most ``(1 + u) * cums[-1] <= 1 + (2K + 2) u``
-        together (the bound :func:`strategies._heaviest` proves), less than
-        4.5e-10 above 1, while ``masses[i] > 1/2 + 2**-20``.  So
-        ``cums[i] < 1/2``, and the interval found is ``i``.
-        """
+        """The stop pre-check, in O(log K): the mass of the interval holding
+        the half-mass point (the first whose running sum reaches 1/2).  At
+        every ``t > 1/2 + _HEAVY_MARGIN`` it exceeds ``t`` whenever
+        :meth:`peak` does on an episode's posterior.  Proof: a peak
+        ``fl(masses[i] / w) > t`` has ``masses[i] > t``, so ``cums[i + 1] >=
+        masses[i] > 1/2`` (a float sum is at least each non-negative term) and
+        ``cums[i] < 1/2`` (the lemma at ``_HEAVY_MARGIN``): it finds ``i``."""
         return self.masses[bisect_left(self.cums, 0.5, 1) - 1]
 
     def peak(self) -> tuple[float, int]:
@@ -575,7 +579,7 @@ class _Runs:
         self.los, self.vals = starts + [self.n + 1], vals
 
     def peak_bound(self) -> float:
-        """:meth:`peak`'s mass itself, without the search for its index."""
+        """The stop pre-check: :meth:`peak`'s mass, exact at any threshold."""
         return max(self.vals)
 
     def peak(self) -> tuple[float, int]:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .channel import NoiseProfile, _check_informative, _coefficients, _crossover, binary_entropy
 from .errors import CapExceededError, ContractViolationError, _int_in
-from .posterior import Posterior, _Partition, _Runs
-from .strategies import _CONNECTED_QUERIES, _HEAVY_MARGIN, _ROOT, StrategyKind
+from .posterior import _HEAVY_MARGIN, Posterior, _Partition, _Runs
+from .strategies import _CONNECTED_QUERIES, _ROOT, StrategyKind
 
 __all__ = [
     "FixedLength",
@@ -214,21 +214,18 @@ def _run(
     coefficients read once per episode (the floats of ``noise_for_size``), and
     passes the query to the kernel's ``update`` in the kernel's own form.
     Each connected-rule step starts its heavy-node descent from the previous
-    step's node (:func:`strategies._heaviest`).  The kernel's O(#intervals)
-    ``peak()`` scan runs only on steps that read the peak or the argmax: a
-    traced step, a checkpoint, the fixed-length horizon, and a
-    variable-length step whose largest interval mass (``peak_bound()``, an
-    upper bound on every bin's mass) exceeds ``1 - eps``.  On any other step
-    the peak cannot pass the threshold, so the record is the one a scan on
-    every step would give.  While ``1 - eps > 1/2 + _HEAVY_MARGIN`` the
-    interval rules test, in O(log K), the mass of the interval that holds
-    the half-mass point (``half_mass_bound()``), which exceeds ``1 - eps``
-    exactly when the largest does, so ``peak()`` runs on the same steps;
-    for ``eps >= 1/2 - 2**-20`` they test ``peak_bound()``.
+    step's node (:func:`strategies._heaviest`).
+
+    A variable-length run stops at the first posterior whose peak exceeds
+    ``1 - eps``, the uniform prior's ``1 / n`` included (then tau is 0, the
+    estimate 1 and the trace empty).  ``peak()``, an O(#parts) scan, runs on
+    a traced step, a checkpoint, the fixed-length horizon and a
+    variable-length step whose pre-check ``peak_bound()`` exceeds ``1 - eps``,
+    which it does whenever the peak does while ``1 - eps > 1/2 +
+    _HEAVY_MARGIN``; at or below that, every step scans.
     """
     n = config.n_bins
-    kind = config.strategy
-    sort = kind is StrategyKind.SORT_PM
+    sort = config.strategy is StrategyKind.SORT_PM
     # sortPM cuts at most one run per query, a connected query at most two
     state = _Runs.uniform(n) if sort else _Partition.uniform(n)
     cuts_per_step = 1 if sort else 2
@@ -236,21 +233,14 @@ def _run(
     truth = _draw_target(config, rng)
 
     fl_n = config.stopping.n if isinstance(config.stopping, FixedLength) else None
-    if n == 1 and fl_n is None:
-        # a threshold run on one bin: the prior is already certain
-        return EpisodeRecord(tau=0, estimate=1, truth=truth, correct=truth == 1, query_sizes=(),
-                             max_posterior_trace=(1.0,) if trace else None), state
-
     # a fixed-length run never stops on the peak
     threshold = math.inf if fl_n is not None else 1.0 - config.stopping.epsilon
-    if sort:
-        peak_bound = state.peak_bound
-    else:
-        query = _CONNECTED_QUERIES[kind]
-        # past 1/2 + the margin only the interval at the half-mass point can
-        # hold a bin above the threshold
-        peak_bound = (state.half_mass_bound if threshold > 0.5 + _HEAVY_MARGIN
-                      else state.peak_bound)
+    if 1.0 / n > threshold:  # the prior's peak, at bin 1
+        return EpisodeRecord(tau=0, estimate=1, truth=truth, correct=truth == 1, query_sizes=(),
+                             max_posterior_trace=() if trace else None), state
+    scan = trace or threshold <= 0.5 + _HEAVY_MARGIN
+    peak_bound = state.peak_bound
+    query = _CONNECTED_QUERIES.get(config.strategy)  # None for sortPM
     cps = (*(checkpoints or ()), 0)  # in order, then 0, which no step matches
     c = 0  # cps[c] is the next checkpoint
 
@@ -286,7 +276,7 @@ def _run(
         ops += k
         sizes.append(frac)
         if (
-            tau == fl_n or trace or tau == cps[c]
+            tau == fl_n or scan or tau == cps[c]
             or (fl_n is None and peak_bound() > threshold)
         ):
             peak, estimate = state.peak()

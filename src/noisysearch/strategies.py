@@ -33,6 +33,7 @@ import numpy as np
 from .channel import NoiseProfile, kl_bernoulli, noise_for_size
 from .errors import _int_in
 from .posterior import (
+    _HEAVY_MARGIN,
     Posterior,
     PosteriorDense,
     QuerySet,
@@ -58,9 +59,6 @@ __all__ = [
 
 # The root of the dyadic tree, where a cold heavy-node descent starts.
 _ROOT = (0, 0)
-# A warm heavy-node descent climbs from its start node while the node weighs
-# less than 1/2 + this margin; _heaviest proves the result is the root's.
-_HEAVY_MARGIN = 2.0**-20
 
 # Near-certain posteriors are evaluated with this floor on 1 - pi_i so the
 # extrinsic mixture stays defined; an entry exactly 1 still yields +inf.
@@ -143,8 +141,10 @@ def _dya_query(idx, depth: int, start: tuple) -> tuple:
 
 def _hie_query(idx, depth: int, start: tuple) -> tuple:
     level, m, pref_lo, pref_mid, pref_hi = _heaviest(idx, depth, start)
-    # a child no farther from 1/2 than the anchor wins, and of the two
-    # the left one unless the right one is strictly closer
+    # a child no farther from 1/2 than the anchor wins, and of the two the
+    # left one unless the right one is strictly closer; the children are
+    # differences of running sums, so the last bit decides between the two
+    # children of one interval, which tie in exact arithmetic
     index, width = m, 1 << (depth - level)
     if level < depth:
         d = abs(pref_hi - pref_lo - 0.5)
@@ -219,11 +219,9 @@ def _heaviest(idx, depth: int, start: tuple = _ROOT) -> tuple:
     that heavy, it descends as above.  The result is the root descent's.
     Proof: ``prefix`` is non-decreasing in ``k`` in floating point, and
     rounding a difference is monotone, so no node weighs less than one of
-    its descendants.  Two disjoint nodes measure at most
-    ``(1 + u) * cums[-1] <= 1 + (2K + 2) u`` together, with ``u = 2**-53``
-    and ``K <= 2 * STEP_CAP + 1`` intervals in an episode: below 4.5e-10
-    above 1.  So once a node weighs ``1/2 + _HEAVY_MARGIN``, no node
-    disjoint from it reaches 1/2.  The root descent then meets no fork and
+    its descendants.  By the lemma at :data:`posterior._HEAVY_MARGIN`, once
+    a node weighs ``1/2 + _HEAVY_MARGIN``, no node disjoint from it reaches
+    1/2 on an episode's posterior.  The root descent then meets no fork and
     no stop above that node, and passes through it, and from there both runs
     are the same code.  Only the episode engine, whose posteriors keep ``K``
     within that bound, starts warm; the public selections start from the

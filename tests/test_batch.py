@@ -334,8 +334,11 @@ def test_cut_equals_scalar_cut():
 
 
 def test_hie_choice_on_ties():
-    # intervals [1, 2], [3, 4] and [5, 8] of 8 bins, masses exact in binary;
-    # the heavy node is [1, 4] but in the last case, where the descent forks
+    # intervals [1, 2], [3, 4] and [5, 8] of 8 bins, masses exact in binary,
+    # so the differences of running sums that hie compares tie exactly where
+    # the masses do; on masses that round, the last bit of those sums decides
+    # such a tie.  The heavy node is [1, 4] but in the last case, where the
+    # descent forks
     cases = {
         (0.375, 0.25, 0.375): (1, 2),  # the left child ties the node
         (0.25, 0.375, 0.375): (3, 4),  # the right child ties the node

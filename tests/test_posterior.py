@@ -78,6 +78,16 @@ class TestQuerySet:
         with pytest.raises(ValueError, match="lo|hi"):
             QuerySet.from_run(lo, hi)
 
+    @pytest.mark.parametrize("indices", [[1.5, 3], [True, 2], np.array([2.0, 3.0])], ids=repr)
+    def test_indices_are_integers(self, indices):
+        # refused before numpy casts them: from_indices([1.5, 3]) is not the
+        # runs (1, 1) and (3, 3)
+        with pytest.raises(ValueError, match="indices"):
+            QuerySet.from_indices(indices)
+
+    def test_integer_arrays_are_indices(self):
+        assert QuerySet.from_indices(np.array([5, 3, 4], dtype=np.int32)).runs == ((3, 5),)
+
     def test_runs_are_held_as_ints(self):
         qs = QuerySet(((np.int64(2), np.int64(5)),))
         assert qs.runs == ((2, 5),) and all(type(end) is int for end in qs.runs[0])
@@ -340,7 +350,7 @@ class TestHalfMassBound:
             update(part, s1, s2, y, p)
             for t in self.THRESHOLDS:
                 above = max(part.masses) > t
-                assert (part.half_mass_bound() > t) == above, (t, part.masses)
+                assert (part.peak_bound() > t) == above, (t, part.masses)
                 seen.discard((t, above))
 
         monkeypatch.setattr(_Partition, "update", checked)
@@ -361,9 +371,9 @@ class TestHalfMassBound:
         # the interval that ends there is read
         los = list(range(1, len(masses) + 2))
         part = _Partition(los, masses, [0.0, *np.cumsum(masses).tolist()])
-        assert part.half_mass_bound() == bound
+        assert part.peak_bound() == bound
         for t in self.THRESHOLDS:
-            assert (part.half_mass_bound() > t) == (max(masses) > t)
+            assert (part.peak_bound() > t) == (max(masses) > t)
 
     def test_margin_above_one_half(self):
         # a total of 1 + 2**-52, within the proof's 1 + (2K + 2)u for K = 2:
@@ -372,9 +382,9 @@ class TestHalfMassBound:
         # passes, which is why the engine switches only past 1/2 + 2**-20
         part = _Partition([1, 2, 3], [0.5, 0.5 + 2**-52], [0.0, 0.5, 1 + 2**-52])
         assert part.cums[-1] <= 1 + (2 * 2 + 2) * 2**-53
-        assert part.half_mass_bound() == 0.5 <= 0.5 + 2**-53 < part.peak_bound()
+        assert part.peak_bound() == 0.5 <= 0.5 + 2**-53 < max(part.masses)
         for t in self.THRESHOLDS:
-            assert (part.half_mass_bound() > t) == (part.peak_bound() > t)
+            assert (part.peak_bound() > t) == (max(part.masses) > t)
 
 
 class TestOracleEquivalence:
@@ -519,6 +529,10 @@ class TestValidation:
             ([1, 3], [2, 4], [1.0], "equal length"),
             ([1, 3], [2, 2], [0.5, 0.5], "lo <= hi"),
             ([1, 5], [4, 8], [1.5, -0.5], "non-negative"),
+            # ends are refused before numpy would truncate them to (1, 2), (3, 4)
+            ([1, 3.5], [2.9, 4], [0.5, 0.5], "lo must be"),
+            ([1, 3], [2.0, 4.0], [0.5, 0.5], "hi must be"),
+            ([True], [1], [1.0], "lo must be"),
         ],
     )
     def test_partition_shape_and_sign(self, lo, hi, mass, match):

@@ -66,6 +66,25 @@ class TestEpisodeBasics:
         assert rec.correct
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("L, eps", [(0, 1e-3), (1, 0.7), (2, 0.8)])
+    def test_prior_above_threshold_stops_at_tau_0(self, kind, L, eps):
+        # the prior 2**-L already exceeds 1 - eps: no query, at every L,
+        # and the trace holds one entry per query
+        cfg = config(L=L, strategy=kind, stopping=VariableLength(eps))
+        rec = run_episode(cfg, trial_rng(cfg.seed, 0), trace=True)
+        assert (rec.tau, rec.estimate, rec.query_sizes, rec.max_posterior_trace) == (0, 1, (), ())
+        assert rec.correct == (rec.truth == 1)
+        assert run_monte_carlo(cfg, 10).mean_tau == 0.0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_prior_below_threshold_makes_its_first_query(self, kind):
+        # threshold 0.3 above the prior 1/4
+        cfg = config(L=2, strategy=kind, stopping=VariableLength(0.7))
+        rec = run_episode(cfg, trial_rng(cfg.seed, 0), trace=True)
+        assert rec.tau >= 1 and len(rec.max_posterior_trace) == rec.tau
+        assert run_monte_carlo(cfg, 10).mean_tau >= 1.0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_single_bin_fixed_length_takes_n_queries(self, kind):
         # only a threshold run stops on the certain prior; n queries of [1, 1]
         cfg = config(L=0, strategy=kind, stopping=FixedLength(5))
@@ -820,6 +839,9 @@ class TestSummaries:
             pytest.param(lambda: sweep_error_vs_queries(config(), [None], 3), id="budgets-None"),
             pytest.param(lambda: sweep_error_vs_queries(config(), [1 + 0j], 3),
                          id="budgets-complex"),
+            pytest.param(lambda: sweep_error_vs_queries(config(), [], 3), id="budgets-empty"),
+            pytest.param(lambda: run_episode(config(stopping=FixedLength(5)), trial_rng(0, 0),
+                                             checkpoint_steps=[]), id="checkpoints-empty"),
             pytest.param(lambda: run_monte_carlo(config(seed=1.5), 3), id="seed-1.5"),
             pytest.param(lambda: run_monte_carlo(config(seed=None), 3), id="seed-None"),
             pytest.param(lambda: run_monte_carlo(config(seed="3"), 3), id="seed-str"),
