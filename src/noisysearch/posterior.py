@@ -69,10 +69,10 @@ _SUM_TOL = 1e-9
 
 
 def _int_array(name: str, values) -> np.ndarray:
-    """``values`` (the argument ``name``) as a new int64 array, each entry put
-    through :func:`errors._int_in` before numpy casts it: a float or bool is refused."""
+    """``values`` (the argument ``name``) as a new int64 array, each entry put through
+    :func:`errors._int_in` before numpy casts it: a float, bool or int past int64 is refused."""
     arr = np.asarray(values, dtype=object)
-    return np.array([_int_in(name, v, -math.inf, math.inf) for v in arr.flat],
+    return np.array([_int_in(name, v, -(1 << 63), (1 << 63) - 1) for v in arr.flat],
                     dtype=np.int64).reshape(arr.shape)
 
 

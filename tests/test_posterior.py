@@ -78,7 +78,8 @@ class TestQuerySet:
         with pytest.raises(ValueError, match="lo|hi"):
             QuerySet.from_run(lo, hi)
 
-    @pytest.mark.parametrize("indices", [[1.5, 3], [True, 2], np.array([2.0, 3.0])], ids=repr)
+    @pytest.mark.parametrize("indices", [[1.5, 3], [True, 2], np.array([2.0, 3.0]), [2**70]],
+                             ids=repr)
     def test_indices_are_integers(self, indices):
         # refused before numpy casts them: from_indices([1.5, 3]) is not the
         # runs (1, 1) and (3, 3)
@@ -533,6 +534,7 @@ class TestValidation:
             ([1, 3.5], [2.9, 4], [0.5, 0.5], "lo must be"),
             ([1, 3], [2.0, 4.0], [0.5, 0.5], "hi must be"),
             ([True], [1], [1.0], "lo must be"),
+            ([1], [2**64], [1.0], "hi must be"),  # past int64: not an OverflowError
         ],
     )
     def test_partition_shape_and_sign(self, lo, hi, mass, match):
